@@ -9,11 +9,12 @@
 //! 2. **Degradation cycle** — a suggest storm saturates the queue for a sustained
 //!    window: tiers must walk *down* the ladder monotonically while the pressure lasts
 //!    and all the way back to full service during the quiet tail.
-//! 3. **Kill/recover** — a mixed-traffic soak is killed at several rounds (tearing the
-//!    WAL tail), recovered from the surviving snapshot + WAL, and driven to the
-//!    horizon. Every recovered final server snapshot — queue, shed counters, pressure
-//!    windows and per-tenant degradation tiers included — must be bit-identical to the
-//!    uninterrupted run's.
+//! 3. **Kill/recover** — a mixed-traffic soak, part scripted and part sent through
+//!    `FleetServer::submit` between rounds, is killed at several rounds right after
+//!    its ad-hoc submissions (tearing the WAL tail), recovered from the surviving
+//!    snapshot + WAL, and driven to the horizon. Every recovered final server snapshot
+//!    — queue, shed counters, pressure windows and per-tenant degradation tiers
+//!    included — must be bit-identical to the uninterrupted run's.
 //! 4. **Soak metrics** — a longer overload soak measures throughput (requests
 //!    dispatched per round), shed rate, and the p99 request sojourn (rounds from
 //!    enqueue to dispatch) under saturation.
@@ -25,7 +26,8 @@ use bench::report::section;
 use fleet::serve::{FleetServer, Request, Response, ServeOptions, TrafficScript};
 use fleet::service::{small_tuner_options, FleetOptions, FleetService};
 use fleet::tenant::{DegradationTier, TenantSpec, WorkloadFamily};
-use fleet::FleetError;
+use fleet::wal::{WalRecord, WriteAheadLog};
+use fleet::{DurableStorage, FleetError};
 use std::collections::BTreeMap;
 use telemetry::TelemetryHandle;
 
@@ -183,27 +185,64 @@ fn degradation_cycle() -> DegradationLegReport {
     }
 }
 
-/// The mixed-traffic script of the kill/recover leg: suggest pressure, telemetry
-/// reads, and one mid-soak admission, against tight budgets.
-fn recovery_traffic() -> TrafficScript {
+/// The mixed traffic of the kill/recover leg: suggest pressure, telemetry reads, and
+/// one mid-soak admission, against tight budgets. The script carries the reads and
+/// two suggests a round; the third suggest and the admission are ad-hoc submissions
+/// made between rounds (`adhoc[round]` goes in while the server stands at `round`),
+/// so recovery must restore them from their logged records.
+fn recovery_traffic() -> (TrafficScript, Vec<Vec<Request>>) {
     let mut script = TrafficScript::new("serve-recovery");
-    for round in 0..RECOVERY_HORIZON {
-        script = script.at(round, Request::TelemetryRead);
-        for _ in 0..3 {
-            script = script.at(
-                round,
-                Request::Suggest {
-                    tenant: format!("tenant-{}", round % 2),
-                },
-            );
-        }
+    let mut adhoc = vec![Vec::new(); RECOVERY_HORIZON];
+    for (round, submissions) in adhoc.iter_mut().enumerate() {
+        let suggest = Request::Suggest {
+            tenant: format!("tenant-{}", round % 2),
+        };
+        script = script
+            .at(round, Request::TelemetryRead)
+            .at(round, suggest.clone())
+            .at(round, suggest.clone());
+        submissions.push(suggest);
     }
-    script.at(
-        4,
-        Request::Admit {
-            spec: spec("joiner-mid", 9400),
-        },
-    )
+    adhoc[4].push(Request::Admit {
+        spec: spec("joiner-mid", 9400),
+    });
+    (script, adhoc)
+}
+
+/// Drives `server` to `horizon`: at each round, sends that round's ad-hoc submissions
+/// (skipping the first `skip` at the current round, already applied), then runs it.
+fn drive(
+    server: &mut FleetServer,
+    (script, adhoc): &(TrafficScript, Vec<Vec<Request>>),
+    mut skip: usize,
+    horizon: usize,
+) {
+    for submissions in &adhoc[server.service().rounds()..horizon] {
+        for request in &submissions[skip..] {
+            // Refusals are part of the soak: they are logged and replayed like the rest.
+            let _ = server.submit(request.clone());
+        }
+        skip = 0;
+        server.run_round(script);
+    }
+}
+
+/// Ad-hoc submissions whose records a tear cut off before `submit` returned (the
+/// crash lost them, so their client re-sends them): the submission records that
+/// directly follow the last surviving record.
+fn lost_submissions(intact: &DurableStorage, torn: &DurableStorage) -> usize {
+    let records = |storage: &DurableStorage| {
+        WriteAheadLog::from_bytes(storage.wal_bytes.clone())
+            .and_then(|wal| wal.scan())
+            .map(|scan| scan.records)
+            .unwrap_or_default()
+    };
+    let kept = records(torn).len();
+    records(intact)
+        .iter()
+        .skip(kept)
+        .take_while(|(_, r)| matches!(r, WalRecord::Submission(_)))
+        .count()
 }
 
 fn recovery_options() -> ServeOptions {
@@ -232,11 +271,11 @@ struct RecoveryLegReport {
 /// Leg 3: kill the soak at several rounds, recover, continue, compare final server
 /// snapshot bytes (degradation tiers and overload accounting included).
 fn kill_recover(kill_rounds: &[usize]) -> Result<RecoveryLegReport, String> {
-    let script = recovery_traffic();
+    let traffic = recovery_traffic();
     let mut reference = server(2, recovery_options(), TelemetryHandle::disabled());
     let mut degraded_mid_soak = false;
-    for _ in 0..RECOVERY_HORIZON {
-        reference.run_round(&script);
+    for round in 0..RECOVERY_HORIZON {
+        drive(&mut reference, &traffic, 0, round + 1);
         degraded_mid_soak |= reference.service().degraded_tenants() > 0;
     }
     let reference_json = reference.canonical_server_json();
@@ -246,19 +285,23 @@ fn kill_recover(kill_rounds: &[usize]) -> Result<RecoveryLegReport, String> {
     let mut torn_total = 0usize;
     for &kill_round in kill_rounds {
         let mut victim = server(2, recovery_options(), TelemetryHandle::disabled());
-        for _ in 0..kill_round {
-            victim.run_round(&script);
+        drive(&mut victim, &traffic, 0, kill_round);
+        // The kill lands after this round's ad-hoc submissions, before its commit.
+        for request in &traffic.1[kill_round] {
+            let _ = victim.submit(request.clone());
         }
         // Vary the tear so clean cuts, torn frames and whole lost entries all occur.
         let storage = victim.crash((kill_round * 13) % 40);
         let (mut recovered, report) =
-            FleetServer::recover(&storage, &script, TelemetryHandle::disabled())
+            FleetServer::recover(&storage, &traffic.0, TelemetryHandle::disabled())
                 .map_err(|e| format!("kill at round {kill_round}: {e}"))?;
         replayed_total += report.replayed_rounds;
         torn_total += report.torn_bytes;
-        for _ in recovered.service().rounds()..RECOVERY_HORIZON {
-            recovered.run_round(&script);
-        }
+        // Every ad-hoc submission at the recovered round was made before the kill;
+        // those the tear cut off are re-sent.
+        let at = recovered.service().rounds();
+        let skip = traffic.1[at].len() - lost_submissions(&victim.storage(), &storage);
+        drive(&mut recovered, &traffic, skip, RECOVERY_HORIZON);
         if recovered.canonical_server_json() == reference_json {
             bit_identical += 1;
         } else {

@@ -79,12 +79,11 @@ pub use scenario::{
 };
 pub use scheduler::{HealthClass, RoundPlan, SchedulerOptions, SessionScheduler, TenantStatus};
 pub use serve::{
-    FleetServer, Request, Response, ServeOptions, ServeRoundReport, ServerRecoveryReport,
-    ServerSnapshot, ServerStorage, TrafficScript,
+    FleetServer, Request, Response, ServeOptions, ServeRoundReport, ServerSnapshot, TrafficScript,
 };
 pub use service::{FleetOptions, FleetReport, FleetService, FleetSnapshot, SloReport};
 pub use tenant::{
     DegradationTier, RetryPolicy, SessionHealth, TenantSession, TenantSessionState, TenantSpec,
     TenantSummary, WorkloadDrift, WorkloadFamily,
 };
-pub use wal::{WalEntry, WalScan, WriteAheadLog};
+pub use wal::{WalEntry, WalRecord, WalScan, WriteAheadLog};

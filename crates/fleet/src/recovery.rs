@@ -1,30 +1,32 @@
 //! Crash-safe fleet execution: periodic snapshots + a checksummed WAL + deterministic
-//! replay recovery.
+//! replay recovery, in one journal that both durable front ends own.
 //!
-//! [`DurableFleet`] wraps a [`FleetService`] driven by a [`Scenario`] and maintains a
-//! [`DurableStorage`] — the state that would survive a crash: the last periodic snapshot
-//! plus a [`WriteAheadLog`] of per-round commit records. The fleet's determinism contract
-//! does the heavy lifting: a round's outcome is a pure function of the snapshot it
-//! started from and the scenario, so the *redo function is re-execution*. WAL entries
-//! carry no observations — only a sequence number, the committed round, and an
-//! FNV-1a-64 digest of the canonical post-round snapshot JSON that the replay is
-//! verified against.
+//! [`DurableFleet`] (a [`FleetService`] driven by a [`Scenario`]) and
+//! [`crate::serve::FleetServer`] keep only what differs — what a round does and what it
+//! serializes. The journal keeps the rest: the last periodic snapshot plus a
+//! [`WriteAheadLog`] written since ([`DurableStorage`], what survives a crash), the
+//! commit routine, and the replay loop. The determinism contract makes the *redo
+//! function re-execution*: a commit record carries no observations, only the committed
+//! round and an FNV-1a-64 digest of the owner's canonical post-round JSON that replay
+//! is verified against. The one input no script re-derives, an ad-hoc [`Request`]
+//! submitted to a server, is logged before it is applied and re-applied in log order.
 //!
-//! The recovery invariant — enforced by `bench --bin fault_injection` in CI and fuzzed
-//! by the `crash_recovery_bit_identity` property — is:
+//! The recovery invariant, gated in CI by `bench --bin fault_injection` and
+//! `serve_soak` and fuzzed by the `crash_recovery_bit_identity` property:
 //!
 //! > Kill the process after *any* round (tearing an arbitrary number of bytes off the
 //! > WAL tail), recover from the surviving storage, and continue to the horizon: the
 //! > final snapshot is **bit-identical** to a run that was never interrupted.
 //!
-//! Torn WAL tails are detected by checksum and dropped (the round they would have
-//! committed is simply re-executed); mid-journal corruption and digest mismatches fail
-//! recovery with a typed [`FleetError`] rather than resurrecting a wrong state.
+//! Torn WAL tails are detected by checksum and dropped (a torn round is simply
+//! re-executed); mid-journal corruption, unreadable records and digest mismatches
+//! fail recovery with a typed [`FleetError`] rather than resurrecting a wrong state.
 
 use crate::error::FleetError;
 use crate::scenario::Scenario;
+use crate::serve::Request;
 use crate::service::{FleetService, FleetSnapshot};
-use crate::wal::{fnv1a64, WriteAheadLog};
+use crate::wal::{fnv1a64, WalRecord, WriteAheadLog};
 use telemetry::{CounterId, EventKind, TelemetryHandle};
 
 /// Options of a [`DurableFleet`].
@@ -55,7 +57,7 @@ pub struct DurableStorage {
     pub wal_bytes: Vec<u8>,
 }
 
-/// What [`DurableFleet::recover`] did.
+/// What a recovery did.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RecoveryReport {
     /// Round the recovered snapshot anchored the replay at.
@@ -66,6 +68,132 @@ pub struct RecoveryReport {
     pub torn_bytes: usize,
 }
 
+/// The durability mechanism a durable front end owns: the last periodic snapshot, the WAL
+/// written since, and the snapshot schedule.
+#[derive(Default)]
+pub(crate) struct Journal {
+    snapshot_interval: usize,
+    snapshot_json: String,
+    snapshot_round: usize,
+    rounds_since_snapshot: usize,
+    wal: WriteAheadLog,
+}
+
+/// One logged input that [`Journal::replay`] hands back to its owner, in log order.
+pub(crate) enum Redo {
+    /// Re-execute the next committed round.
+    Round,
+    /// Re-apply a logged submission; `offset` is its frame's byte offset.
+    Submission { offset: usize, request: Request },
+}
+
+impl Journal {
+    /// A journal that snapshots every `snapshot_interval` rounds, not yet anchored.
+    pub(crate) fn new(snapshot_interval: usize) -> Self {
+        Journal {
+            snapshot_interval: snapshot_interval.max(1),
+            ..Default::default()
+        }
+    }
+
+    /// Anchors the journal at `json`, the owner's canonical JSON at `round`: it becomes
+    /// the snapshot, and the WAL written before it is truncated.
+    pub(crate) fn anchor(&mut self, json: String, round: usize) {
+        self.snapshot_json = json;
+        self.snapshot_round = round;
+        self.rounds_since_snapshot = 0;
+        self.wal.clear();
+    }
+
+    /// Commits a round that left the owner at `round` with canonical JSON `json`:
+    /// appends its digest and, every `snapshot_interval` rounds, anchors at `json`.
+    pub(crate) fn commit(&mut self, round: usize, json: String, telemetry: &TelemetryHandle) {
+        self.wal.append(round as u64, fnv1a64(json.as_bytes()));
+        telemetry.incr(CounterId::WalAppends);
+        self.rounds_since_snapshot += 1;
+        if self.rounds_since_snapshot >= self.snapshot_interval {
+            self.anchor(json, round);
+        }
+    }
+
+    /// Logs a submission, write-ahead of applying it.
+    pub(crate) fn log_submission(&mut self, request: &Request) {
+        let json = serde_json::to_string(request).expect("an in-memory request serializes");
+        self.wal.append_submission(json.as_bytes());
+    }
+
+    /// What a crash that loses the last `torn` bytes of the WAL leaves behind.
+    pub(crate) fn crash(&self, torn: usize) -> DurableStorage {
+        let wal = self.wal.bytes();
+        DurableStorage {
+            snapshot_json: self.snapshot_json.clone(),
+            snapshot_round: self.snapshot_round,
+            wal_bytes: wal[..wal.len().saturating_sub(torn)].to_vec(),
+        }
+    }
+
+    /// Replays `storage`'s WAL against a state its owner already restored from
+    /// `storage.snapshot_json`: drops the torn tail, hands every logged input to `redo`
+    /// in log order (records after the last commit included), and checks the digest of
+    /// the canonical JSON `redo` returns for each [`Redo::Round`] against its commit
+    /// record — a mismatch is [`FleetError::RecoveryDivergence`], an unreadable
+    /// submission record [`FleetError::WalCorrupt`].
+    pub(crate) fn replay(
+        storage: &DurableStorage,
+        telemetry: &TelemetryHandle,
+        subject: &str,
+        mut redo: impl FnMut(Redo) -> Result<Option<String>, FleetError>,
+    ) -> Result<RecoveryReport, FleetError> {
+        let scan = WriteAheadLog::from_bytes(storage.wal_bytes.clone())?.scan()?;
+        telemetry.add(
+            CounterId::WalTornEntriesDropped,
+            (scan.torn_bytes > 0) as u64,
+        );
+        let mut replayed_rounds = 0;
+        for (offset, record) in scan.records {
+            let entry = match record {
+                WalRecord::Commit(entry) => entry,
+                WalRecord::Submission(payload) => {
+                    let request = serde_json::from_str(&String::from_utf8_lossy(&payload))
+                        .map_err(|e| FleetError::WalCorrupt {
+                            offset,
+                            reason: format!("unreadable submission record: {e}"),
+                        })?;
+                    redo(Redo::Submission { offset, request })?;
+                    continue;
+                }
+            };
+            let json = redo(Redo::Round)?.unwrap_or_default();
+            replayed_rounds += 1;
+            telemetry.incr(CounterId::RecoveryReplays);
+            let digest = fnv1a64(json.as_bytes());
+            if digest != entry.digest {
+                return Err(FleetError::RecoveryDivergence {
+                    round: entry.round as usize,
+                    expected: entry.digest,
+                    actual: digest,
+                });
+            }
+        }
+        let report = RecoveryReport {
+            snapshot_round: storage.snapshot_round,
+            replayed_rounds,
+            torn_bytes: scan.torn_bytes,
+        };
+        if telemetry.is_enabled() {
+            telemetry.event(
+                EventKind::WalRecovered,
+                subject,
+                &format!(
+                    "snapshot@{} +{} replayed, {} torn bytes dropped",
+                    report.snapshot_round, report.replayed_rounds, report.torn_bytes
+                ),
+            );
+        }
+        Ok(report)
+    }
+}
+
 /// A crash-safe wrapper around a scenario-driven fleet.
 ///
 /// Construction takes a genesis snapshot, so [`DurableFleet::storage`] is total — there
@@ -74,40 +202,40 @@ pub struct RecoveryReport {
 /// commit record to the WAL, and every [`DurableOptions::snapshot_interval`] rounds
 /// replaces the snapshot and truncates the WAL.
 pub struct DurableFleet {
-    // FleetService holds live sessions (no Debug); summarize instead.
     svc: FleetService,
     scenario: Scenario,
-    options: DurableOptions,
-    wal: WriteAheadLog,
-    snapshot_json: String,
-    snapshot_round: usize,
-    rounds_since_snapshot: usize,
+    journal: Journal,
 }
 
 impl std::fmt::Debug for DurableFleet {
+    // FleetService holds live sessions (no Debug); summarize instead.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DurableFleet")
             .field("rounds", &self.svc.rounds())
             .field("scenario", &self.scenario.name)
-            .field("snapshot_round", &self.snapshot_round)
-            .field("wal_bytes", &self.wal.len_bytes())
+            .field("snapshot_round", &self.journal.snapshot_round)
+            .field("wal_bytes", &self.journal.wal.len_bytes())
             .finish()
     }
+}
+
+/// Fires the scenario steps due at the service's current round, then runs the round.
+fn scenario_round(svc: &mut FleetService, scenario: &Scenario) -> Result<usize, FleetError> {
+    for step in scenario.due_at(svc.rounds()) {
+        step.event.apply(svc).map_err(FleetError::Scenario)?;
+    }
+    Ok(svc.run_round())
 }
 
 impl DurableFleet {
     /// Wraps a service and its driving scenario, taking the genesis snapshot.
     pub fn new(svc: FleetService, scenario: Scenario, options: DurableOptions) -> Self {
-        let snapshot_json = svc.canonical_snapshot_json();
-        let snapshot_round = svc.rounds();
+        let mut journal = Journal::new(options.snapshot_interval);
+        journal.anchor(svc.canonical_snapshot_json(), svc.rounds());
         DurableFleet {
             svc,
             scenario,
-            options,
-            wal: WriteAheadLog::new(),
-            snapshot_json,
-            snapshot_round,
-            rounds_since_snapshot: 0,
+            journal,
         }
     }
 
@@ -121,37 +249,13 @@ impl DurableFleet {
         &mut self.svc
     }
 
-    /// The driving scenario.
-    pub fn scenario(&self) -> &Scenario {
-        &self.scenario
-    }
-
-    /// The live WAL.
-    pub fn wal(&self) -> &WriteAheadLog {
-        &self.wal
-    }
-
     /// Fires due scenario steps, executes one round, and commits it to the WAL.
     /// Returns the iterations the round executed.
     pub fn run_round(&mut self) -> Result<usize, FleetError> {
-        let round = self.svc.rounds();
-        for step in self.scenario.due_at(round) {
-            step.event
-                .apply(&mut self.svc)
-                .map_err(FleetError::Scenario)?;
-        }
-        let iterations = self.svc.run_round();
+        let iterations = scenario_round(&mut self.svc, &self.scenario)?;
         let json = self.svc.canonical_snapshot_json();
-        self.wal
-            .append(self.svc.rounds() as u64, fnv1a64(json.as_bytes()));
-        self.svc.telemetry().incr(CounterId::WalAppends);
-        self.rounds_since_snapshot += 1;
-        if self.rounds_since_snapshot >= self.options.snapshot_interval.max(1) {
-            self.snapshot_json = json;
-            self.snapshot_round = self.svc.rounds();
-            self.rounds_since_snapshot = 0;
-            self.wal.clear();
-        }
+        self.journal
+            .commit(self.svc.rounds(), json, self.svc.telemetry());
         Ok(iterations)
     }
 
@@ -166,83 +270,46 @@ impl DurableFleet {
 
     /// The state a crash right now would leave behind.
     pub fn storage(&self) -> DurableStorage {
-        DurableStorage {
-            snapshot_json: self.snapshot_json.clone(),
-            snapshot_round: self.snapshot_round,
-            wal_bytes: self.wal.bytes().to_vec(),
-        }
+        self.journal.crash(0)
     }
 
     /// Simulates a crash that loses the last `torn` bytes of the WAL and returns what
     /// survives. (`torn` larger than the journal tears it to empty.)
     pub fn crash(&self, torn: usize) -> DurableStorage {
-        let mut storage = self.storage();
-        let keep = storage.wal_bytes.len().saturating_sub(torn);
-        storage.wal_bytes.truncate(keep);
-        storage
+        self.journal.crash(torn)
     }
 
     /// Recovers a durable fleet from crash-surviving storage: restores the snapshot,
     /// drops any torn WAL tail, re-executes the committed rounds under the scenario, and
-    /// verifies each replayed round's state digest against the WAL's commit record.
+    /// verifies each replayed round's state digest against the WAL's commit record, so
+    /// the recovered fleet continues **bit-identically** to the crashed one.
     ///
-    /// The recovered fleet continues **bit-identically** to the crashed one: re-executed
-    /// rounds are pure functions of restored state, so replaying them reproduces the
-    /// exact bytes the digests were computed from. A digest mismatch means the replay
-    /// diverged (damaged snapshot, wrong scenario) and fails with
-    /// [`FleetError::RecoveryDivergence`] instead of resurrecting a wrong state.
+    /// A digest mismatch (damaged snapshot, wrong scenario) fails with
+    /// [`FleetError::RecoveryDivergence`]; a submission record — which only a serving
+    /// front end writes — with [`FleetError::WalCorrupt`].
     pub fn recover(
         storage: &DurableStorage,
         scenario: Scenario,
         options: DurableOptions,
         telemetry: TelemetryHandle,
     ) -> Result<(Self, RecoveryReport), FleetError> {
-        let scan = WriteAheadLog::from_bytes(storage.wal_bytes.clone())?.scan()?;
         let mut svc = FleetService::restore_with_telemetry(
             serde_json::from_str::<FleetSnapshot>(&storage.snapshot_json)
                 .map_err(|e| FleetError::SnapshotParse(e.to_string()))?,
-            telemetry,
+            telemetry.clone(),
         )?;
-        svc.telemetry().add(
-            CounterId::WalTornEntriesDropped,
-            (scan.torn_bytes > 0) as u64,
-        );
-        // Re-execute every committed round, checking each digest as we go.
-        for entry in &scan.entries {
-            for step in scenario.due_at(svc.rounds()) {
-                step.event.apply(&mut svc).map_err(FleetError::Scenario)?;
+        let report = Journal::replay(storage, &telemetry, "fleet", |redo| match redo {
+            Redo::Round => {
+                scenario_round(&mut svc, &scenario)?;
+                Ok(Some(svc.canonical_snapshot_json()))
             }
-            svc.run_round();
-            svc.telemetry().incr(CounterId::RecoveryReplays);
-            let digest = fnv1a64(svc.canonical_snapshot_json().as_bytes());
-            if digest != entry.digest {
-                return Err(FleetError::RecoveryDivergence {
-                    round: entry.round as usize,
-                    expected: entry.digest,
-                    actual: digest,
-                });
-            }
-        }
-        let report = RecoveryReport {
-            snapshot_round: storage.snapshot_round,
-            replayed_rounds: scan.entries.len(),
-            torn_bytes: scan.torn_bytes,
-        };
-        if svc.telemetry().is_enabled() {
-            svc.telemetry().event(
-                EventKind::WalRecovered,
-                "fleet",
-                &format!(
-                    "snapshot@{} +{} replayed, {} torn bytes dropped",
-                    report.snapshot_round, report.replayed_rounds, report.torn_bytes
-                ),
-            );
-        }
-        // Rebuild the durable wrapper anchored at a fresh post-recovery snapshot; the
-        // torn/old WAL bytes are superseded.
-        let mut durable = DurableFleet::new(svc, scenario, options);
-        durable.wal = WriteAheadLog::new();
-        Ok((durable, report))
+            Redo::Submission { offset, request } => Err(FleetError::WalCorrupt {
+                offset,
+                reason: format!("{} logged in a scenario-driven fleet", request.label()),
+            }),
+        })?;
+        // Re-anchor at a fresh post-recovery snapshot; the old WAL bytes are superseded.
+        Ok((DurableFleet::new(svc, scenario, options), report))
     }
 }
 
@@ -309,10 +376,11 @@ mod tests {
             },
         );
         fleet.run_rounds(2).unwrap();
-        assert_eq!(fleet.wal().scan().unwrap().entries.len(), 2);
+        let wal = WriteAheadLog::from_bytes(fleet.storage().wal_bytes).unwrap();
+        assert_eq!(wal.scan().unwrap().records.len(), 2);
         fleet.run_round().unwrap();
         // Third round hit the snapshot interval: WAL truncated, snapshot advanced.
-        assert_eq!(fleet.wal().len_bytes(), 0);
+        assert!(fleet.storage().wal_bytes.is_empty());
         assert_eq!(fleet.storage().snapshot_round, 3);
     }
 
@@ -398,6 +466,44 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, FleetError::WalCorrupt { .. }), "{err}");
+    }
+
+    #[test]
+    fn submission_records_in_a_fleet_journal_are_typed_errors() {
+        let mut fleet = DurableFleet::new(
+            small_service(1),
+            Scenario::new("plain"),
+            DurableOptions::default(),
+        );
+        fleet.run_rounds(2).unwrap();
+        let recover = |storage: &DurableStorage| {
+            DurableFleet::recover(
+                storage,
+                Scenario::new("plain"),
+                DurableOptions::default(),
+                TelemetryHandle::disabled(),
+            )
+            .unwrap_err()
+        };
+        // A well-formed submission record: only a serving front end writes those.
+        let mut storage = fleet.storage();
+        let mut wal = WriteAheadLog::from_bytes(storage.wal_bytes.clone()).unwrap();
+        wal.append_submission(br#""TelemetryRead""#);
+        storage.wal_bytes = wal.bytes().to_vec();
+        let err = recover(&storage);
+        assert!(
+            matches!(&err, FleetError::WalCorrupt { offset, .. } if *offset == 2 * FRAME_LEN),
+            "{err}"
+        );
+        // A record that fails to parse: a commit frame with its kind bit flipped still
+        // passes its payload CRC, but its payload is no serialized request.
+        let mut storage = fleet.storage();
+        storage.wal_bytes[3] ^= 0x80;
+        let err = recover(&storage);
+        assert!(
+            matches!(&err, FleetError::WalCorrupt { offset: 0, reason } if reason.contains("unreadable")),
+            "{err}"
+        );
     }
 
     #[test]

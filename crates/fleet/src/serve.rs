@@ -38,19 +38,20 @@
 //! ([`ServerSnapshot`] = options + fleet snapshot + serve state) and the driving
 //! [`TrafficScript`]: request ids, shed decisions, deadline expiries and tier
 //! transitions are all counted in rounds and queue positions, never wall time. The
-//! server therefore extends the fleet's crash-safety story unchanged: a genesis
-//! snapshot plus a per-round WAL of [`ServerSnapshot`] digests, truncated every
-//! [`ServeOptions::snapshot_interval`] rounds, recovered by deterministic
-//! re-execution ([`FleetServer::recover`]) that verifies every replayed round's digest.
-//! `bench --bin serve_soak` kills a soak at an arbitrary round and asserts the
-//! recovered server's snapshot bytes are identical to an uninterrupted run's.
-//!
-//! [`DegradationTier`]: crate::tenant::DegradationTier
+//! server therefore owns the same durable journal as
+//! [`crate::recovery::DurableFleet`]: a genesis snapshot plus a per-round WAL of
+//! [`ServerSnapshot`] digests, truncated every [`ServeOptions::snapshot_interval`]
+//! rounds, recovered by deterministic re-execution ([`FleetServer::recover`]) that
+//! verifies every replayed round's digest. Scripted submissions are re-derived from the
+//! script; every ad-hoc [`FleetServer::submit`] call is logged to the WAL before it is
+//! applied, and replay re-applies it in log order. `bench --bin serve_soak` kills a
+//! soak at an arbitrary round and asserts the recovered server's snapshot bytes are
+//! identical to an uninterrupted run's.
 
 use crate::error::FleetError;
+use crate::recovery::{DurableStorage, Journal, RecoveryReport, Redo};
 use crate::service::{FleetService, FleetSnapshot};
-use crate::tenant::{SessionHealth, TenantSpec};
-use crate::wal::{fnv1a64, WriteAheadLog};
+use crate::tenant::{DegradationTier, SessionHealth, TenantSpec};
 use telemetry::{CounterId, EventKind, GaugeId, TelemetryHandle};
 
 /// Options of the serving front end. Serialized inside every [`ServerSnapshot`], so a
@@ -251,7 +252,7 @@ pub struct TrafficStep {
 
 /// A declarative, replayable request timeline — the serving analogue of
 /// [`crate::scenario::Scenario`]. Recovery re-fires the same script against the
-/// restored snapshot, which is what makes the server's WAL-digest replay meaningful.
+/// restored snapshot, so scripted submissions need no WAL records of their own.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TrafficScript {
     /// Name for reports.
@@ -306,29 +307,6 @@ pub struct ServeRoundReport {
     pub responses: Vec<(u64, Response)>,
 }
 
-/// What would survive a server crash: the last periodic [`ServerSnapshot`] and the WAL
-/// bytes appended since.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServerStorage {
-    /// Canonical JSON of the last periodic [`ServerSnapshot`].
-    pub snapshot_json: String,
-    /// Fleet round counter at the moment the snapshot was taken.
-    pub snapshot_round: usize,
-    /// Raw WAL bytes appended since that snapshot (possibly torn by the crash).
-    pub wal_bytes: Vec<u8>,
-}
-
-/// What [`FleetServer::recover`] did.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct ServerRecoveryReport {
-    /// Round the recovered snapshot anchored the replay at.
-    pub snapshot_round: usize,
-    /// Rounds re-executed from the WAL's commit records.
-    pub replayed_rounds: usize,
-    /// Bytes of torn WAL tail dropped (0 after a clean shutdown).
-    pub torn_bytes: usize,
-}
-
 /// The long-running serving loop around a [`FleetService`]: a bounded request queue
 /// with admission control, shedding, round deadlines, degradation tiers, and built-in
 /// crash safety (genesis snapshot + per-round WAL + periodic truncating snapshots).
@@ -336,10 +314,7 @@ pub struct FleetServer {
     svc: FleetService,
     options: ServeOptions,
     serve: ServeState,
-    wal: WriteAheadLog,
-    snapshot_json: String,
-    snapshot_round: usize,
-    rounds_since_snapshot: usize,
+    journal: Journal,
 }
 
 impl std::fmt::Debug for FleetServer {
@@ -348,8 +323,6 @@ impl std::fmt::Debug for FleetServer {
             .field("rounds", &self.svc.rounds())
             .field("tenants", &self.svc.n_tenants())
             .field("queue_depth", &self.serve.queue.len())
-            .field("snapshot_round", &self.snapshot_round)
-            .field("wal_bytes", &self.wal.len_bytes())
             .finish()
     }
 }
@@ -359,17 +332,20 @@ impl FleetServer {
     /// [`FleetServer::storage`] is total — no window in which a crash loses
     /// everything).
     pub fn new(svc: FleetService, options: ServeOptions) -> Self {
+        FleetServer::anchored(svc, options, ServeState::new())
+    }
+
+    /// Assembles a server whose journal is anchored at its current state.
+    fn anchored(svc: FleetService, options: ServeOptions, serve: ServeState) -> Self {
+        let journal = Journal::new(options.snapshot_interval);
         let mut server = FleetServer {
             svc,
             options,
-            serve: ServeState::new(),
-            wal: WriteAheadLog::new(),
-            snapshot_json: String::new(),
-            snapshot_round: 0,
-            rounds_since_snapshot: 0,
+            serve,
+            journal,
         };
-        server.snapshot_json = server.canonical_server_json();
-        server.snapshot_round = server.svc.rounds();
+        let json = server.canonical_server_json();
+        server.journal.anchor(json, server.svc.rounds());
         server
     }
 
@@ -381,11 +357,6 @@ impl FleetServer {
     /// Mutable access to the wrapped service (telemetry installation etc.).
     pub fn service_mut(&mut self) -> &mut FleetService {
         &mut self.svc
-    }
-
-    /// The serving options.
-    pub fn options(&self) -> &ServeOptions {
-        &self.options
     }
 
     /// The current serving state (queue + overload accounting).
@@ -519,8 +490,17 @@ impl FleetServer {
     /// Admissions are pre-checked at the door (a fleet that cannot take the tenant
     /// rejects immediately with [`FleetError::AdmissionDenied`] rather than queueing
     /// it); a full queue sheds lower-priority work or rejects with
-    /// [`FleetError::QueueFull`].
+    /// [`FleetError::QueueFull`]. Every call — a refused one too, since refusals and
+    /// sheds change the serving state — is logged to the WAL before it is applied, so
+    /// [`FleetServer::recover`] re-applies it.
     pub fn submit(&mut self, request: Request) -> Result<u64, FleetError> {
+        self.journal.log_submission(&request);
+        self.enqueue(request)
+    }
+
+    /// Applies one submission to the queue (the part of [`FleetServer::submit`] that
+    /// scripted submissions, re-derived from the script on replay, share unlogged).
+    fn enqueue(&mut self, request: Request) -> Result<u64, FleetError> {
         if let Request::Admit { spec } = &request {
             if let Err(err) = self.admission_check(&spec.name) {
                 self.note_admission_rejection(&err);
@@ -582,19 +562,10 @@ impl FleetServer {
         }
     }
 
-    /// Moves every tenant one rung down the degradation ladder.
-    fn downgrade_all(&mut self) {
+    /// Moves every tenant one rung along the degradation ladder.
+    fn shift_tiers(&mut self, step: fn(DegradationTier) -> DegradationTier) {
         for session in self.svc.sessions_mut() {
-            let next = session.degradation().downgraded();
-            session.set_degradation(next);
-        }
-    }
-
-    /// Moves every tenant one rung back up the degradation ladder.
-    fn upgrade_all(&mut self) {
-        for session in self.svc.sessions_mut() {
-            let next = session.degradation().upgraded();
-            session.set_degradation(next);
+            session.set_degradation(step(session.degradation()));
         }
     }
 
@@ -604,6 +575,15 @@ impl FleetServer {
     /// the round to the WAL (snapshotting + truncating every
     /// [`ServeOptions::snapshot_interval`] rounds).
     pub fn run_round(&mut self, script: &TrafficScript) -> ServeRoundReport {
+        let report = self.execute_round(script);
+        let json = self.canonical_server_json();
+        self.journal
+            .commit(self.svc.rounds(), json, self.svc.telemetry());
+        report
+    }
+
+    /// One serving round without its commit: what replay re-executes.
+    fn execute_round(&mut self, script: &TrafficScript) -> ServeRoundReport {
         let round = self.svc.rounds();
         let shed_before = self.serve.shed_total();
         let rejected_before = self.serve.admission_rejections + self.serve.queue_rejections;
@@ -612,7 +592,7 @@ impl FleetServer {
         // Scripted submissions due this round, in declaration order. Typed rejections
         // at the door surface as id-0 responses (no id was assigned).
         for step in script.due_at(round).cloned().collect::<Vec<_>>() {
-            if let Err(error) = self.submit(step.request) {
+            if let Err(error) = self.enqueue(step.request) {
                 responses.push((0, Response::Denied { error }));
             }
         }
@@ -674,14 +654,14 @@ impl FleetServer {
             self.serve.saturated_rounds += 1;
             self.serve.clear_rounds = 0;
             if self.serve.saturated_rounds >= self.options.pressure_window.max(1) {
-                self.downgrade_all();
+                self.shift_tiers(DegradationTier::downgraded);
                 self.serve.saturated_rounds = 0;
             }
         } else {
             self.serve.clear_rounds += 1;
             self.serve.saturated_rounds = 0;
             if self.serve.clear_rounds >= self.options.recovery_window.max(1) {
-                self.upgrade_all();
+                self.shift_tiers(DegradationTier::upgraded);
                 self.serve.clear_rounds = 0;
             }
         }
@@ -692,20 +672,6 @@ impl FleetServer {
         self.svc
             .telemetry()
             .set_gauge(GaugeId::DegradedTenants, self.svc.degraded_tenants() as f64);
-
-        // Commit the round: WAL digest of the canonical server snapshot, periodic
-        // truncating snapshot.
-        let json = self.canonical_server_json();
-        self.wal
-            .append(self.svc.rounds() as u64, fnv1a64(json.as_bytes()));
-        self.svc.telemetry().incr(CounterId::WalAppends);
-        self.rounds_since_snapshot += 1;
-        if self.rounds_since_snapshot >= self.options.snapshot_interval.max(1) {
-            self.snapshot_json = json;
-            self.snapshot_round = self.svc.rounds();
-            self.rounds_since_snapshot = 0;
-            self.wal.clear();
-        }
 
         ServeRoundReport {
             round: self.svc.rounds(),
@@ -719,27 +685,15 @@ impl FleetServer {
         }
     }
 
-    /// Runs `n` serving rounds; returns the per-round reports.
-    pub fn run_rounds(&mut self, script: &TrafficScript, n: usize) -> Vec<ServeRoundReport> {
-        (0..n).map(|_| self.run_round(script)).collect()
-    }
-
     /// The state a crash right now would leave behind.
-    pub fn storage(&self) -> ServerStorage {
-        ServerStorage {
-            snapshot_json: self.snapshot_json.clone(),
-            snapshot_round: self.snapshot_round,
-            wal_bytes: self.wal.bytes().to_vec(),
-        }
+    pub fn storage(&self) -> DurableStorage {
+        self.journal.crash(0)
     }
 
     /// Simulates a crash that loses the last `torn` bytes of the WAL and returns what
     /// survives.
-    pub fn crash(&self, torn: usize) -> ServerStorage {
-        let mut storage = self.storage();
-        let keep = storage.wal_bytes.len().saturating_sub(torn);
-        storage.wal_bytes.truncate(keep);
-        storage
+    pub fn crash(&self, torn: usize) -> DurableStorage {
+        self.journal.crash(torn)
     }
 
     /// Restores a server from a [`ServerSnapshot`] JSON document (without WAL replay;
@@ -750,67 +704,35 @@ impl FleetServer {
         let snapshot: ServerSnapshot =
             serde_json::from_str(json).map_err(|e| FleetError::SnapshotParse(e.to_string()))?;
         let svc = FleetService::restore_with_telemetry(snapshot.fleet, telemetry)?;
-        let mut server = FleetServer {
-            svc,
-            options: snapshot.options,
-            serve: snapshot.serve,
-            wal: WriteAheadLog::new(),
-            snapshot_json: String::new(),
-            snapshot_round: 0,
-            rounds_since_snapshot: 0,
-        };
-        server.snapshot_json = server.canonical_server_json();
-        server.snapshot_round = server.svc.rounds();
-        Ok(server)
+        Ok(FleetServer::anchored(svc, snapshot.options, snapshot.serve))
     }
 
     /// Recovers a server from crash-surviving storage: restores the snapshot, drops
-    /// any torn WAL tail, re-executes the committed rounds under the same traffic
-    /// script, and verifies each replayed round's [`ServerSnapshot`] digest against
-    /// the WAL's commit record. The recovered server continues **bit-identically** —
-    /// including its queue, shed counts, pressure windows and every tenant's
-    /// degradation tier.
+    /// any torn WAL tail, re-applies the logged submissions and re-executes the
+    /// committed rounds under the same traffic script in log order, and verifies each
+    /// replayed round's [`ServerSnapshot`] digest against the WAL's commit record. The
+    /// recovered server continues **bit-identically** — including its queue, shed
+    /// counts, pressure windows and every tenant's degradation tier.
     pub fn recover(
-        storage: &ServerStorage,
+        storage: &DurableStorage,
         script: &TrafficScript,
         telemetry: TelemetryHandle,
-    ) -> Result<(Self, ServerRecoveryReport), FleetError> {
-        let scan = WriteAheadLog::from_bytes(storage.wal_bytes.clone())?.scan()?;
-        let mut server = FleetServer::restore_json(&storage.snapshot_json, telemetry)?;
-        for entry in &scan.entries {
-            server.run_round(script);
-            server.svc.telemetry().incr(CounterId::RecoveryReplays);
-            let digest = fnv1a64(server.canonical_server_json().as_bytes());
-            if digest != entry.digest {
-                return Err(FleetError::RecoveryDivergence {
-                    round: entry.round as usize,
-                    expected: entry.digest,
-                    actual: digest,
-                });
+    ) -> Result<(Self, RecoveryReport), FleetError> {
+        let mut server = FleetServer::restore_json(&storage.snapshot_json, telemetry.clone())?;
+        let report = Journal::replay(storage, &telemetry, "server", |redo| match redo {
+            Redo::Round => {
+                server.execute_round(script);
+                Ok(Some(server.canonical_server_json()))
             }
-        }
-        let report = ServerRecoveryReport {
-            snapshot_round: storage.snapshot_round,
-            replayed_rounds: scan.entries.len(),
-            torn_bytes: scan.torn_bytes,
-        };
-        if server.svc.telemetry().is_enabled() {
-            server.svc.telemetry().event(
-                EventKind::WalRecovered,
-                "server",
-                &format!(
-                    "snapshot@{} +{} replayed, {} torn bytes dropped",
-                    report.snapshot_round, report.replayed_rounds, report.torn_bytes
-                ),
-            );
-        }
-        // Re-anchor at a fresh post-recovery snapshot; the old WAL bytes are
-        // superseded.
-        server.snapshot_json = server.canonical_server_json();
-        server.snapshot_round = server.svc.rounds();
-        server.rounds_since_snapshot = 0;
-        server.wal = WriteAheadLog::new();
-        Ok((server, report))
+            // A refused submission was logged too; replay refuses it the same way.
+            Redo::Submission { request, .. } => {
+                let _ = server.enqueue(request);
+                Ok(None)
+            }
+        })?;
+        // Re-anchor at a fresh post-recovery snapshot; the old WAL bytes are superseded.
+        let (svc, options, serve) = (server.svc, server.options, server.serve);
+        Ok((FleetServer::anchored(svc, options, serve), report))
     }
 }
 
@@ -1282,6 +1204,52 @@ mod tests {
             twin.canonical_server_json(),
             server.canonical_server_json(),
             "telemetry changed server snapshot bytes"
+        );
+    }
+
+    #[test]
+    fn an_adhoc_submission_between_rounds_survives_a_crash() {
+        // An accepted request submitted outside the script must not make the server
+        // unrecoverable: replay re-applies it from its logged record.
+        let script = TrafficScript::new("empty");
+        let mut server = small_server(2, ServeOptions::default());
+        server.run_round(&script);
+        let id = server
+            .submit(Request::Suggest {
+                tenant: "t0".into(),
+            })
+            .unwrap();
+        assert_eq!(id, 1);
+        server.run_round(&script);
+        let (recovered, report) =
+            FleetServer::recover(&server.crash(0), &script, TelemetryHandle::disabled())
+                .unwrap_or_else(|e| panic!("recovery after an ad-hoc submit: {e}"));
+        assert_eq!(report.replayed_rounds, 2);
+        assert_eq!(
+            recovered.canonical_server_json(),
+            server.canonical_server_json()
+        );
+    }
+
+    #[test]
+    fn a_kill_right_after_an_adhoc_submit_recovers_it_still_queued() {
+        let script = TrafficScript::new("empty");
+        let mut server = small_server(2, ServeOptions::default());
+        server.run_round(&script);
+        let id = server
+            .submit(Request::Suggest {
+                tenant: "t1".into(),
+            })
+            .unwrap();
+        // No commit follows the submission: only its own record makes it durable.
+        let (recovered, report) =
+            FleetServer::recover(&server.crash(0), &script, TelemetryHandle::disabled()).unwrap();
+        assert_eq!(report.replayed_rounds, 1);
+        let queued: Vec<u64> = recovered.serve_state().queue.iter().map(|q| q.id).collect();
+        assert_eq!(queued, vec![id]);
+        assert_eq!(
+            recovered.canonical_server_json(),
+            server.canonical_server_json()
         );
     }
 
