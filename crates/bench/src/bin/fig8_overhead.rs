@@ -50,9 +50,11 @@ fn main() {
         let times: Vec<f64> = result.records.iter().map(|r| r.tuner_time_s).collect();
         let late_avg = times.iter().rev().take(20).sum::<f64>() / 20.0_f64.min(times.len() as f64);
         if kind == TunerKind::OnlineTune || kind == TunerKind::Bo {
+            // Milliseconds: the series prints one decimal, and an iteration takes a few ms.
+            let times_ms: Vec<f64> = times.iter().map(|t| t * 1e3).collect();
             print_series(
-                &format!("{} per-iteration time (s)", kind.label()),
-                &times,
+                &format!("{} per-iteration time (ms)", kind.label()),
+                &times_ms,
                 20,
             );
         }

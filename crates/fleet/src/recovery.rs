@@ -7,9 +7,12 @@
 //! [`WriteAheadLog`] written since ([`DurableStorage`], what survives a crash), the
 //! commit routine, and the replay loop. The determinism contract makes the *redo
 //! function re-execution*: a commit record carries no observations, only the committed
-//! round and an FNV-1a-64 digest of the owner's canonical post-round JSON that replay
-//! is verified against. The one input no script re-derives, an ad-hoc [`Request`]
-//! submitted to a server, is logged before it is applied and re-applied in log order.
+//! round and a [`state_digest`] of the owner's post-round snapshot tree that replay is
+//! verified against. The digest walks the `serde_json::Value` tree, so a commit renders
+//! JSON text only on the rounds that anchor a snapshot (every `snapshot_interval`
+//! rounds, at genesis and after recovery); replay never renders it. The one input no
+//! script re-derives, an ad-hoc [`Request`] submitted to a server, is logged before it
+//! is applied and re-applied in log order.
 //!
 //! The recovery invariant, gated in CI by `bench --bin fault_injection` and
 //! `serve_soak` and fuzzed by the `crash_recovery_bit_identity` property:
@@ -26,7 +29,8 @@ use crate::error::FleetError;
 use crate::scenario::Scenario;
 use crate::serve::Request;
 use crate::service::{FleetService, FleetSnapshot};
-use crate::wal::{fnv1a64, WalRecord, WriteAheadLog};
+use crate::wal::{state_digest, WalRecord, WriteAheadLog};
+use serde_json::Value;
 use telemetry::{CounterId, EventKind, TelemetryHandle};
 
 /// Options of a [`DurableFleet`].
@@ -105,14 +109,15 @@ impl Journal {
         self.wal.clear();
     }
 
-    /// Commits a round that left the owner at `round` with canonical JSON `json`:
-    /// appends its digest and, every `snapshot_interval` rounds, anchors at `json`.
-    pub(crate) fn commit(&mut self, round: usize, json: String, telemetry: &TelemetryHandle) {
-        self.wal.append(round as u64, fnv1a64(json.as_bytes()));
+    /// Commits a round that left the owner at `round` with snapshot tree `state`:
+    /// appends its digest and, every `snapshot_interval` rounds, anchors at the JSON
+    /// text of `state` — the only time a commit renders text.
+    pub(crate) fn commit(&mut self, round: usize, state: &Value, telemetry: &TelemetryHandle) {
+        self.wal.append(round as u64, state_digest(state));
         telemetry.incr(CounterId::WalAppends);
         self.rounds_since_snapshot += 1;
         if self.rounds_since_snapshot >= self.snapshot_interval {
-            self.anchor(json, round);
+            self.anchor(state.to_string(), round);
         }
     }
 
@@ -135,14 +140,14 @@ impl Journal {
     /// Replays `storage`'s WAL against a state its owner already restored from
     /// `storage.snapshot_json`: drops the torn tail, hands every logged input to `redo`
     /// in log order (records after the last commit included), and checks the digest of
-    /// the canonical JSON `redo` returns for each [`Redo::Round`] against its commit
+    /// the snapshot tree `redo` returns for each [`Redo::Round`] against its commit
     /// record — a mismatch is [`FleetError::RecoveryDivergence`], an unreadable
     /// submission record [`FleetError::WalCorrupt`].
     pub(crate) fn replay(
         storage: &DurableStorage,
         telemetry: &TelemetryHandle,
         subject: &str,
-        mut redo: impl FnMut(Redo) -> Result<Option<String>, FleetError>,
+        mut redo: impl FnMut(Redo) -> Result<Option<Value>, FleetError>,
     ) -> Result<RecoveryReport, FleetError> {
         let scan = WriteAheadLog::from_bytes(storage.wal_bytes.clone())?.scan()?;
         telemetry.add(
@@ -163,10 +168,10 @@ impl Journal {
                     continue;
                 }
             };
-            let json = redo(Redo::Round)?.unwrap_or_default();
+            let state = redo(Redo::Round)?.unwrap_or(Value::Null);
             replayed_rounds += 1;
             telemetry.incr(CounterId::RecoveryReplays);
-            let digest = fnv1a64(json.as_bytes());
+            let digest = state_digest(&state);
             if digest != entry.digest {
                 return Err(FleetError::RecoveryDivergence {
                     round: entry.round as usize,
@@ -219,6 +224,12 @@ impl std::fmt::Debug for DurableFleet {
     }
 }
 
+/// The snapshot tree a [`DurableFleet`] commits: the tree behind
+/// [`FleetService::canonical_snapshot_json`].
+fn state_tree(svc: &FleetService) -> Value {
+    serde_json::to_value(&svc.snapshot()).expect("an in-memory fleet snapshot always serializes")
+}
+
 /// Fires the scenario steps due at the service's current round, then runs the round.
 fn scenario_round(svc: &mut FleetService, scenario: &Scenario) -> Result<usize, FleetError> {
     for step in scenario.due_at(svc.rounds()) {
@@ -253,9 +264,11 @@ impl DurableFleet {
     /// Returns the iterations the round executed.
     pub fn run_round(&mut self) -> Result<usize, FleetError> {
         let iterations = scenario_round(&mut self.svc, &self.scenario)?;
-        let json = self.svc.canonical_snapshot_json();
-        self.journal
-            .commit(self.svc.rounds(), json, self.svc.telemetry());
+        self.journal.commit(
+            self.svc.rounds(),
+            &state_tree(&self.svc),
+            self.svc.telemetry(),
+        );
         Ok(iterations)
     }
 
@@ -301,7 +314,7 @@ impl DurableFleet {
         let report = Journal::replay(storage, &telemetry, "fleet", |redo| match redo {
             Redo::Round => {
                 scenario_round(&mut svc, &scenario)?;
-                Ok(Some(svc.canonical_snapshot_json()))
+                Ok(Some(state_tree(&svc)))
             }
             Redo::Submission { offset, request } => Err(FleetError::WalCorrupt {
                 offset,
@@ -504,6 +517,58 @@ mod tests {
             matches!(&err, FleetError::WalCorrupt { offset: 0, reason } if reason.contains("unreadable")),
             "{err}"
         );
+    }
+
+    #[test]
+    fn storage_from_text_digest_commits_restores_only_without_a_wal() {
+        // Storage written while commit frames carried the FNV-1a-64 of the canonical
+        // JSON text: the snapshot bytes are the same as today's, the digests are not.
+        let horizon = 5;
+        let reference = reference_snapshot(horizon);
+        let snapshot_json = small_service(2).canonical_snapshot_json();
+        let mut fleet = DurableFleet::new(
+            small_service(2),
+            faulty_scenario(),
+            DurableOptions::default(),
+        );
+        assert_eq!(fleet.storage().snapshot_json, snapshot_json);
+        let mut wal = WriteAheadLog::new();
+        for _ in 0..2 {
+            fleet.run_round().unwrap();
+            let svc = fleet.service();
+            wal.append(
+                svc.rounds() as u64,
+                crate::wal::fnv1a64(svc.canonical_snapshot_json().as_bytes()),
+            );
+        }
+        let text_era = DurableStorage {
+            snapshot_json,
+            snapshot_round: 0,
+            wal_bytes: wal.bytes().to_vec(),
+        };
+        let recover = |storage: &DurableStorage| {
+            DurableFleet::recover(
+                storage,
+                faulty_scenario(),
+                DurableOptions::default(),
+                TelemetryHandle::disabled(),
+            )
+        };
+        // Its WAL tail is refused with a typed divergence on the first replayed round.
+        let err = recover(&text_era).unwrap_err();
+        assert!(
+            matches!(err, FleetError::RecoveryDivergence { round: 1, .. }),
+            "{err}"
+        );
+        // With an empty WAL the snapshot alone restores, and continues bit-identically.
+        let (mut recovered, report) = recover(&DurableStorage {
+            wal_bytes: Vec::new(),
+            ..text_era
+        })
+        .unwrap();
+        assert_eq!(report.replayed_rounds, 0);
+        recovered.run_rounds(horizon).unwrap();
+        assert_eq!(recovered.service().canonical_snapshot_json(), reference);
     }
 
     #[test]

@@ -228,8 +228,8 @@ impl ServeState {
 }
 
 /// The complete serializable server state: options, the wrapped fleet's snapshot and
-/// the serving state. Canonical JSON of this structure is what the server's WAL
-/// digests and what crash-recovery bit-identity compares.
+/// the serving state. Its tree is what the server's WAL digests, and its canonical JSON
+/// is the snapshot text and what crash-recovery bit-identity compares.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ServerSnapshot {
     /// Serving options.
@@ -378,11 +378,17 @@ impl FleetServer {
         }
     }
 
-    /// Canonical JSON of [`FleetServer::server_snapshot`] — the bytes the WAL digests
-    /// and crash-recovery bit-identity compares. Serialization of well-formed
-    /// in-memory state cannot fail.
+    /// Canonical JSON of [`FleetServer::server_snapshot`] — the snapshot text the
+    /// journal anchors at and crash-recovery bit-identity compares. Serialization of
+    /// well-formed in-memory state cannot fail.
     pub fn canonical_server_json(&self) -> String {
-        serde_json::to_string(&self.server_snapshot())
+        self.state_tree().to_string()
+    }
+
+    /// The tree behind [`FleetServer::canonical_server_json`]: what the journal digests
+    /// every round, and renders only when it anchors a snapshot.
+    fn state_tree(&self) -> serde_json::Value {
+        serde_json::to_value(&self.server_snapshot())
             .expect("an in-memory server snapshot always serializes")
     }
 
@@ -576,9 +582,8 @@ impl FleetServer {
     /// [`ServeOptions::snapshot_interval`] rounds).
     pub fn run_round(&mut self, script: &TrafficScript) -> ServeRoundReport {
         let report = self.execute_round(script);
-        let json = self.canonical_server_json();
         self.journal
-            .commit(self.svc.rounds(), json, self.svc.telemetry());
+            .commit(self.svc.rounds(), &self.state_tree(), self.svc.telemetry());
         report
     }
 
@@ -722,7 +727,7 @@ impl FleetServer {
         let report = Journal::replay(storage, &telemetry, "server", |redo| match redo {
             Redo::Round => {
                 server.execute_round(script);
-                Ok(Some(server.canonical_server_json()))
+                Ok(Some(server.state_tree()))
             }
             // A refused submission was logged too; replay refuses it the same way.
             Redo::Submission { request, .. } => {

@@ -753,8 +753,9 @@ impl FleetService {
 
     /// [`FleetService::snapshot_json`] as an infallible convenience: serialization of an
     /// in-memory snapshot cannot fail for well-formed state, and recovery paths need the
-    /// canonical bytes without error plumbing. These are the bytes the WAL digests and
-    /// the crash-recovery bit-identity checks compare.
+    /// canonical bytes without error plumbing. These are the snapshot bytes a durable
+    /// journal anchors at and the crash-recovery bit-identity checks compare; the WAL
+    /// digests their tree instead ([`crate::wal::state_digest`]).
     pub fn canonical_snapshot_json(&self) -> String {
         self.snapshot_json()
             .expect("an in-memory fleet snapshot always serializes")

@@ -16,9 +16,10 @@
 //!
 //! `crc32` is the IEEE CRC-32 of the payload (table-driven, implemented here — no
 //! external dependency). `seq` is a strictly increasing commit counter; `round` is the
-//! fleet round the entry commits; `digest` is the FNV-1a-64 hash of the canonical state
-//! JSON after that round. Commit frames keep their bytes whatever submissions sit
-//! between them.
+//! fleet round the entry commits; `digest` is the [`state_digest`] of the owner's
+//! snapshot tree after that round — an FNV-1a-64 hash of the tree's structure and number
+//! bits, taken without rendering JSON (text is written only when a snapshot is taken).
+//! Commit frames keep their bytes whatever submissions sit between them.
 //!
 //! A crash can tear the tail of the journal anywhere. [`WriteAheadLog::scan`]
 //! detects a torn or checksum-corrupt *tail* (incomplete length prefix, payload
@@ -28,6 +29,7 @@
 //! parsing fails with [`FleetError::WalCorrupt`].
 
 use crate::error::FleetError;
+use serde_json::Value;
 
 /// Byte length of a commit-record payload: `seq` + `round` + `digest`.
 const PAYLOAD_LEN: usize = 24;
@@ -68,14 +70,78 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// FNV-1a 64-bit hash — the state digest committed with each WAL entry.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+/// An FNV-1a-64 hasher fed byte by byte.
+struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    fn new() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
-    hash
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    fn tag(&mut self, tag: u8) {
+        self.bytes(&[tag]);
+    }
+
+    /// A one-byte tag followed by a little-endian `u64` length.
+    fn header(&mut self, tag: u8, len: usize) {
+        self.tag(tag);
+        self.bytes(&(len as u64).to_le_bytes());
+    }
+
+    fn value(&mut self, value: &Value) {
+        match value {
+            // The writer prints a non-finite number as `null`, so it digests as one.
+            Value::Null => self.tag(b'n'),
+            Value::Number(n) if !n.is_finite() => self.tag(b'n'),
+            Value::Number(n) => {
+                self.tag(b'#');
+                self.bytes(&n.to_bits().to_le_bytes());
+            }
+            Value::Bool(b) => self.tag(if *b { b't' } else { b'f' }),
+            Value::String(s) => {
+                self.header(b'"', s.len());
+                self.bytes(s.as_bytes());
+            }
+            Value::Array(items) => {
+                self.header(b'[', items.len());
+                items.iter().for_each(|item| self.value(item));
+            }
+            Value::Object(pairs) => {
+                self.header(b'{', pairs.len());
+                for (key, item) in pairs {
+                    self.header(b'"', key.len());
+                    self.bytes(key.as_bytes());
+                    self.value(item);
+                }
+            }
+        }
+    }
+}
+
+/// FNV-1a 64-bit hash of `bytes`.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash = Fnv1a64::new();
+    hash.bytes(bytes);
+    hash.0
+}
+
+/// The state digest committed with each WAL entry: FNV-1a-64 over a tagged,
+/// length-prefixed encoding of the state tree, so a commit never renders JSON.
+///
+/// A finite number is encoded by its `f64::to_bits` and a non-finite one exactly like
+/// `null` (the writer prints it as `null`). Two trees therefore have equal digests
+/// exactly when their canonical JSON text is equal, up to hash collisions.
+pub fn state_digest(value: &Value) -> u64 {
+    let mut hash = Fnv1a64::new();
+    hash.value(value);
+    hash.0
 }
 
 /// One committed round: the parsed payload of a commit frame.
@@ -86,7 +152,7 @@ pub struct WalEntry {
     /// Fleet round this entry commits (the value of `FleetService::rounds()` after the
     /// round ran).
     pub round: u64,
-    /// FNV-1a-64 digest of the canonical fleet snapshot JSON after the round.
+    /// [`state_digest`] of the owner's snapshot tree after the round.
     pub digest: u64,
 }
 
@@ -348,6 +414,187 @@ mod tests {
             assert_eq!(scan.records.len(), 3, "cut at byte {cut}");
             assert_eq!(scan.torn_bytes, cut - last);
         }
+    }
+
+    /// Numbers that print alike or nearly alike: signed zeros, integral values at the
+    /// `1e15` edge, 64-bit integers at and past 2^53, non-finite values (printed as
+    /// `null`) and subnormals.
+    const NUMBERS: [f64; 15] = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        0.1,
+        1e15,
+        -1e15,
+        1e16,
+        9_007_199_254_740_992.0,
+        u64::MAX as f64,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE,
+        5e-324,
+    ];
+    /// Strings and keys whose concatenations collide, plus string-carried integers.
+    const STRINGS: [&str; 12] = [
+        "",
+        "a",
+        "b",
+        "c",
+        "ab",
+        "bc",
+        "1",
+        "null",
+        "9007199254740993",
+        "18446744073709551615",
+        "\u{1f}",
+        "\"",
+    ];
+
+    fn pick<T: Copy>(rng: &mut rand::rngs::StdRng, items: &[T]) -> T {
+        use rand::Rng;
+        items[rng.gen_range(0..items.len())]
+    }
+
+    fn random_tree(rng: &mut rand::rngs::StdRng, depth: usize) -> Value {
+        use rand::Rng;
+        if depth == 0 || rng.gen_bool(0.4) {
+            return match rng.gen_range(0..6) {
+                0 => Value::Null,
+                1 => Value::Bool(rng.gen_bool(0.5)),
+                2 | 3 => Value::Number(pick(rng, &NUMBERS)),
+                _ => Value::String(pick(rng, &STRINGS).into()),
+            };
+        }
+        let n = rng.gen_range(0..3usize);
+        if rng.gen_bool(0.5) {
+            Value::Array((0..n).map(|_| random_tree(rng, depth - 1)).collect())
+        } else {
+            Value::Object(
+                (0..n)
+                    .map(|_| (pick(rng, &STRINGS).into(), random_tree(rng, depth - 1)))
+                    .collect(),
+            )
+        }
+    }
+
+    /// `value` with some leaves swapped for a near miss: a value that prints the same
+    /// (`NaN`/`±Inf` for `null`) or almost the same (the other zero, a string twin).
+    fn near_miss(rng: &mut rand::rngs::StdRng, value: &Value) -> Value {
+        use rand::Rng;
+        let swap = rng.gen_bool(0.3);
+        match value {
+            Value::Array(items) => Value::Array(items.iter().map(|v| near_miss(rng, v)).collect()),
+            Value::Object(pairs) => Value::Object(
+                pairs
+                    .iter()
+                    .map(|(k, v)| (k.clone(), near_miss(rng, v)))
+                    .collect(),
+            ),
+            Value::Null if swap => Value::Number(pick(rng, &[f64::NAN, f64::INFINITY])),
+            Value::Number(n) if swap && !n.is_finite() => Value::Null,
+            Value::Number(n) if swap => Value::Number(if *n == 0.0 { -*n } else { *n }),
+            Value::String(s) if swap => match s.parse::<f64>() {
+                Ok(n) => Value::Number(n),
+                Err(_) => Value::String(pick(rng, &STRINGS).into()),
+            },
+            leaf => leaf.clone(),
+        }
+    }
+
+    fn assert_digest_iff_json(a: &Value, b: &Value) -> bool {
+        let (ja, jb) = (
+            serde_json::to_string(a).unwrap(),
+            serde_json::to_string(b).unwrap(),
+        );
+        assert_eq!(
+            state_digest(a) == state_digest(b),
+            ja == jb,
+            "digest and JSON equality disagree on {ja} vs {jb}"
+        );
+        ja == jb
+    }
+
+    #[test]
+    fn state_digest_equality_is_json_equality() {
+        use rand::SeedableRng;
+        let num = Value::Number;
+        let string = |s: &str| Value::String(s.into());
+        let obj = |pairs: &[(&str, Value)]| {
+            Value::Object(
+                pairs
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), v.clone()))
+                    .collect(),
+            )
+        };
+        let arr = Value::Array;
+        // Hand-picked near misses, each with whether its two sides print equal.
+        let cases = [
+            (num(-0.0), num(0.0), false),
+            (num(f64::NAN), Value::Null, true),
+            (num(f64::INFINITY), Value::Null, true),
+            (num(f64::NEG_INFINITY), num(f64::NAN), true),
+            (
+                serde_json::to_value(&1.0f64).unwrap(),
+                serde_json::to_value(&1u64).unwrap(),
+                true,
+            ),
+            (num(1.0), string("1"), false),
+            (
+                serde_json::to_value(&(1u64 << 53)).unwrap(),
+                string("9007199254740992"),
+                false,
+            ),
+            (
+                serde_json::to_value(&((1u64 << 53) + 1)).unwrap(),
+                string("9007199254740993"),
+                true,
+            ),
+            (
+                serde_json::to_value(&((1u64 << 53) + 1)).unwrap(),
+                num(((1u64 << 53) + 1) as f64),
+                false,
+            ),
+            (
+                obj(&[("ab", string("c"))]),
+                obj(&[("a", string("bc"))]),
+                false,
+            ),
+            (
+                arr(vec![arr(vec![]), arr(vec![])]),
+                arr(vec![arr(vec![arr(vec![])])]),
+                false,
+            ),
+            (obj(&[]), arr(vec![]), false),
+            (string(""), Value::Null, false),
+            (Value::Bool(false), num(0.0), false),
+        ];
+        for (a, b, equal) in &cases {
+            assert_eq!(assert_digest_iff_json(a, b), *equal, "{a:?} vs {b:?}");
+        }
+        // Random pairs: independent draws over a small alphabet (often equal at low
+        // depth) and near-miss twins of one draw.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED);
+        let (mut equal, mut unequal) = (0, 0);
+        for i in 0..20_000 {
+            let a = random_tree(&mut rng, 3);
+            let b = if i % 2 == 0 {
+                random_tree(&mut rng, 3)
+            } else {
+                near_miss(&mut rng, &a)
+            };
+            if assert_digest_iff_json(&a, &b) {
+                equal += 1;
+            } else {
+                unequal += 1;
+            }
+        }
+        assert!(
+            equal > 1_000 && unequal > 1_000,
+            "{equal} equal, {unequal} unequal pairs"
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Offline shim for the subset of `serde_json` used by this workspace:
 //! [`to_string`], [`to_string_pretty`], [`from_str`] and the re-exported
-//! [`Value`] tree. Text output is deterministic (object keys keep insertion
-//! order) and finite floats round-trip bit-exactly.
+//! [`Value`] tree, whose `Display` impl is the JSON writer. Text output is
+//! deterministic (object keys keep insertion order) and finite floats round-trip
+//! bit-exactly.
 
 pub use serde::Value;
 
@@ -12,16 +13,12 @@ pub type Error = serde::Error;
 
 /// Serializes `value` as compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0);
-    Ok(out)
+    Ok(value.to_value().to_string())
 }
 
 /// Serializes `value` as human-indented JSON.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, Some(2), 0);
-    Ok(out)
+    Ok(format!("{:#}", value.to_value()))
 }
 
 /// Parses JSON text into any [`Deserialize`] type.
@@ -38,94 +35,6 @@ pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value, Error> {
 /// Rebuilds a typed value from a [`Value`] tree.
 pub fn from_value<T: Deserialize>(value: &Value) -> Result<T, Error> {
     T::from_value(value)
-}
-
-// ---------------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------------
-
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(w) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(w * depth));
-    }
-}
-
-fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Number(n) => {
-            if n.is_finite() {
-                out.push_str(&serde_value_format_f64(*n));
-            } else {
-                // JSON has no Inf/NaN; mirror serde_json and write null.
-                out.push_str("null");
-            }
-        }
-        Value::String(s) => write_escaped(s, out),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(item, out, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push(']');
-        }
-        Value::Object(pairs) => {
-            if pairs.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, val)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_escaped(k, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(val, out, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push('}');
-        }
-    }
-}
-
-fn serde_value_format_f64(n: f64) -> String {
-    if n == n.trunc() && n.abs() < 1e15 && !(n == 0.0 && n.is_sign_negative()) {
-        format!("{}", n as i64)
-    } else {
-        format!("{n:?}")
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -406,6 +315,82 @@ mod tests {
             (-0.0f64).to_bits(),
             back.to_bits(),
             "-0.0 -> {text} -> {back}"
+        );
+    }
+
+    #[test]
+    fn writer_output_bytes_are_pinned() {
+        // The exact bytes every snapshot and WAL anchor depends on: the integral fast
+        // path and its `1e15` / `-0.0` edges, 64-bit integers carried as numbers and as
+        // strings, non-finite numbers, control-character escapes and numeric map keys.
+        let keyed: std::collections::BTreeMap<i64, bool> =
+            [(-3, true), (7, false)].into_iter().collect();
+        let tree = Value::Object(vec![
+            (
+                "zero".into(),
+                Value::Array(vec![Value::Number(0.0), Value::Number(-0.0)]),
+            ),
+            (
+                "big".into(),
+                Value::Array(vec![
+                    Value::Number(1e15),
+                    Value::Number(-1e15),
+                    Value::Number(999_999_999_999_999.0),
+                    Value::Number(1e16),
+                    Value::Number(-7.0),
+                ]),
+            ),
+            ("u64".into(), to_value(&u64::MAX).unwrap()),
+            ("u64_as_f64".into(), Value::Number(u64::MAX as f64)),
+            (
+                "u64_2p53_plus_1".into(),
+                to_value(&((1u64 << 53) + 1)).unwrap(),
+            ),
+            (
+                "frac".into(),
+                Value::Array(vec![
+                    Value::Number(0.1),
+                    Value::Number(-2.5e-300),
+                    Value::Number(f64::NAN),
+                    Value::Number(f64::NEG_INFINITY),
+                ]),
+            ),
+            (
+                "\u{1f}key\"\\".into(),
+                Value::Object(vec![
+                    ("\n\t\r\u{0}".into(), Value::Bool(true)),
+                    ("".into(), Value::Null),
+                ]),
+            ),
+            (
+                "empty".into(),
+                Value::Array(vec![Value::Array(vec![]), Value::Object(vec![])]),
+            ),
+            ("keyed".into(), to_value(&keyed).unwrap()),
+            ("text".into(), Value::String("héllo → 世界 \u{7f}".into())),
+        ]);
+        let expected = concat!(
+            r#"{"zero":[0,-0.0],"#,
+            r#""big":[1000000000000000.0,-1000000000000000.0,999999999999999,1e16,-7],"#,
+            r#""u64":1.8446744073709552e19,"u64_as_f64":1.8446744073709552e19,"#,
+            r#""u64_2p53_plus_1":"9007199254740993","#,
+            r#""frac":[0.1,-2.5e-300,null,null],"#,
+            r#""\u001fkey\"\\":{"\n\t\r\u0000":true,"":null},"#,
+            r#""empty":[[],{}],"keyed":{"-3":true,"7":false},"#,
+            "\"text\":\"héllo → 世界 \u{7f}\"}",
+        );
+        assert_eq!(to_string(&tree).unwrap(), expected);
+        assert_eq!(tree.to_string(), expected, "Display renders the same bytes");
+        let small = Value::Object(vec![
+            (
+                "a".into(),
+                Value::Array(vec![Value::Number(-0.0), Value::Array(vec![])]),
+            ),
+            ("b".into(), Value::Object(vec![])),
+        ]);
+        assert_eq!(
+            to_string_pretty(&small).unwrap(),
+            "{\n  \"a\": [\n    -0.0,\n    []\n  ],\n  \"b\": {}\n}"
         );
     }
 
