@@ -7,12 +7,18 @@
 //! [`WriteAheadLog`] written since ([`DurableStorage`], what survives a crash), the
 //! commit routine, and the replay loop. The determinism contract makes the *redo
 //! function re-execution*: a commit record carries no observations, only the committed
-//! round and a [`state_digest`] of the owner's post-round snapshot tree that replay is
-//! verified against. The digest walks the `serde_json::Value` tree, so a commit renders
-//! JSON text only on the rounds that anchor a snapshot (every `snapshot_interval`
-//! rounds, at genesis and after recovery); replay never renders it. The one input no
-//! script re-derives, an ad-hoc [`Request`] submitted to a server, is logged before it
-//! is applied and re-applied in log order.
+//! round and a digest of the owner's post-round state that replay is verified against.
+//!
+//! A commit is built per tenant. The fleet's round workers claim tenants in order and
+//! turn each tenant's state into a `serde_json::Value` tree and its [`state_digest`];
+//! the owner digests only the small head (its snapshot tree without the tenant list)
+//! and folds the head digest and the tenant digests in tenant order
+//! ([`fold_digests`]). JSON text is rendered only on the rounds that anchor a snapshot
+//! (every `snapshot_interval` rounds, at genesis and after recovery): then each worker
+//! also writes its tenants' JSON, and the owner splices those fragments into the head's
+//! text — byte for byte the owner's canonical JSON. Replay never renders text. The one
+//! input no script re-derives, an ad-hoc [`Request`] submitted to a server, is logged
+//! before it is applied and re-applied in log order.
 //!
 //! The recovery invariant, gated in CI by `bench --bin fault_injection` and
 //! `serve_soak` and fuzzed by the `crash_recovery_bit_identity` property:
@@ -29,8 +35,9 @@ use crate::error::FleetError;
 use crate::scenario::Scenario;
 use crate::serve::Request;
 use crate::service::{FleetService, FleetSnapshot};
-use crate::wal::{state_digest, WalRecord, WriteAheadLog};
+use crate::wal::{fold_digests, state_digest, WalRecord, WriteAheadLog};
 use serde_json::Value;
+use std::fmt::Write;
 use telemetry::{CounterId, EventKind, TelemetryHandle};
 
 /// Options of a [`DurableFleet`].
@@ -72,6 +79,67 @@ pub struct RecoveryReport {
     pub torn_bytes: usize,
 }
 
+/// A state at a commit — a durable owner's, or one tenant's part of it: the digest
+/// (what the owner's WAL record carries) and, on a commit that anchors a snapshot, the
+/// canonical JSON text.
+pub(crate) struct CommitState {
+    pub(crate) digest: u64,
+    pub(crate) text: Option<String>,
+}
+
+impl CommitState {
+    /// Folds the owner's `head` — its snapshot tree with the tenant array at `path`
+    /// emptied — with the tenants' parts in tenant order: the digest is
+    /// [`fold_digests`] of the head's digest and the tenant digests; when `render` is
+    /// set, the text is the head's JSON with the tenant texts spliced into that array.
+    pub(crate) fn fold(
+        head: &Value,
+        path: &[&str],
+        tenants: Vec<CommitState>,
+        render: bool,
+    ) -> Self {
+        let digests: Vec<u64> = tenants.iter().map(|t| t.digest).collect();
+        let digest = fold_digests(state_digest(head), &digests);
+        let text = render.then(|| {
+            let texts: Vec<String> = tenants.into_iter().flat_map(|t| t.text).collect();
+            let mut out = String::with_capacity(texts.iter().map(|t| t.len() + 1).sum());
+            write_spliced(&mut out, head, path, &texts);
+            out
+        });
+        CommitState { digest, text }
+    }
+}
+
+/// Writes `value` as compact JSON, the array at `path` written with `items` (the JSON
+/// texts of its elements) as its elements. Matches the writer of
+/// `impl Display for Value` byte for byte.
+fn write_spliced(out: &mut String, value: &Value, path: &[&str], items: &[String]) {
+    let (Some((key, rest)), Value::Object(pairs)) = (path.split_first(), value) else {
+        out.push('[');
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(item);
+        }
+        out.push(']');
+        return;
+    };
+    out.push('{');
+    for (i, (k, v)) in pairs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write!(out, "{}:", Value::String(k.clone())).expect("writing to a String cannot fail");
+        if k == key {
+            write_spliced(out, v, rest, items);
+        } else {
+            write!(out, "{v}").expect("writing to a String cannot fail");
+        }
+    }
+    out.push('}');
+}
+
 /// The durability mechanism a durable front end owns: the last periodic snapshot, the WAL
 /// written since, and the snapshot schedule.
 #[derive(Default)]
@@ -109,15 +177,21 @@ impl Journal {
         self.wal.clear();
     }
 
-    /// Commits a round that left the owner at `round` with snapshot tree `state`:
-    /// appends its digest and, every `snapshot_interval` rounds, anchors at the JSON
-    /// text of `state` — the only time a commit renders text.
-    pub(crate) fn commit(&mut self, round: usize, state: &Value, telemetry: &TelemetryHandle) {
-        self.wal.append(round as u64, state_digest(state));
+    /// Whether the next [`Journal::commit`] anchors a snapshot: the owner renders its
+    /// text for that commit only.
+    pub(crate) fn anchors_next(&self) -> bool {
+        self.rounds_since_snapshot + 1 >= self.snapshot_interval
+    }
+
+    /// Commits a round that left the owner at `round` in `state`: appends its digest
+    /// and, every `snapshot_interval` rounds, anchors at its text.
+    pub(crate) fn commit(&mut self, round: usize, state: CommitState, telemetry: &TelemetryHandle) {
+        self.wal.append(round as u64, state.digest);
         telemetry.incr(CounterId::WalAppends);
         self.rounds_since_snapshot += 1;
         if self.rounds_since_snapshot >= self.snapshot_interval {
-            self.anchor(state.to_string(), round);
+            let text = state.text.expect("an anchoring commit carries its text");
+            self.anchor(text, round);
         }
     }
 
@@ -139,15 +213,15 @@ impl Journal {
 
     /// Replays `storage`'s WAL against a state its owner already restored from
     /// `storage.snapshot_json`: drops the torn tail, hands every logged input to `redo`
-    /// in log order (records after the last commit included), and checks the digest of
-    /// the snapshot tree `redo` returns for each [`Redo::Round`] against its commit
-    /// record — a mismatch is [`FleetError::RecoveryDivergence`], an unreadable
-    /// submission record [`FleetError::WalCorrupt`].
+    /// in log order (records after the last commit included), and checks the commit
+    /// digest `redo` returns for each [`Redo::Round`] against its commit record — a
+    /// mismatch is [`FleetError::RecoveryDivergence`], an unreadable submission record
+    /// [`FleetError::WalCorrupt`].
     pub(crate) fn replay(
         storage: &DurableStorage,
         telemetry: &TelemetryHandle,
         subject: &str,
-        mut redo: impl FnMut(Redo) -> Result<Option<Value>, FleetError>,
+        mut redo: impl FnMut(Redo) -> Result<Option<u64>, FleetError>,
     ) -> Result<RecoveryReport, FleetError> {
         let scan = WriteAheadLog::from_bytes(storage.wal_bytes.clone())?.scan()?;
         telemetry.add(
@@ -168,10 +242,9 @@ impl Journal {
                     continue;
                 }
             };
-            let state = redo(Redo::Round)?.unwrap_or(Value::Null);
+            let digest = redo(Redo::Round)?.expect("a replayed round yields its digest");
             replayed_rounds += 1;
             telemetry.incr(CounterId::RecoveryReplays);
-            let digest = state_digest(&state);
             if digest != entry.digest {
                 return Err(FleetError::RecoveryDivergence {
                     round: entry.round as usize,
@@ -224,10 +297,12 @@ impl std::fmt::Debug for DurableFleet {
     }
 }
 
-/// The snapshot tree a [`DurableFleet`] commits: the tree behind
-/// [`FleetService::canonical_snapshot_json`].
-fn state_tree(svc: &FleetService) -> Value {
-    serde_json::to_value(&svc.snapshot()).expect("an in-memory fleet snapshot always serializes")
+/// What a [`DurableFleet`] commits: the state behind
+/// [`FleetService::canonical_snapshot_json`], with its text when `render` is set.
+fn commit_state(svc: &FleetService, render: bool) -> CommitState {
+    let head = serde_json::to_value(&svc.head_snapshot())
+        .expect("an in-memory fleet snapshot always serializes");
+    svc.commit_state(&head, &["tenants"], render)
 }
 
 /// Fires the scenario steps due at the service's current round, then runs the round.
@@ -264,11 +339,9 @@ impl DurableFleet {
     /// Returns the iterations the round executed.
     pub fn run_round(&mut self) -> Result<usize, FleetError> {
         let iterations = scenario_round(&mut self.svc, &self.scenario)?;
-        self.journal.commit(
-            self.svc.rounds(),
-            &state_tree(&self.svc),
-            self.svc.telemetry(),
-        );
+        let state = commit_state(&self.svc, self.journal.anchors_next());
+        self.journal
+            .commit(self.svc.rounds(), state, self.svc.telemetry());
         Ok(iterations)
     }
 
@@ -306,15 +379,27 @@ impl DurableFleet {
         options: DurableOptions,
         telemetry: TelemetryHandle,
     ) -> Result<(Self, RecoveryReport), FleetError> {
-        let mut svc = FleetService::restore_with_telemetry(
+        let svc = FleetService::restore_with_telemetry(
             serde_json::from_str::<FleetSnapshot>(&storage.snapshot_json)
                 .map_err(|e| FleetError::SnapshotParse(e.to_string()))?,
-            telemetry.clone(),
+            telemetry,
         )?;
+        DurableFleet::resume(svc, storage, scenario, options)
+    }
+
+    /// The replay half of [`DurableFleet::recover`]: re-executes `storage`'s committed
+    /// rounds on `svc`, already restored from `storage.snapshot_json`.
+    fn resume(
+        mut svc: FleetService,
+        storage: &DurableStorage,
+        scenario: Scenario,
+        options: DurableOptions,
+    ) -> Result<(Self, RecoveryReport), FleetError> {
+        let telemetry = svc.telemetry().clone();
         let report = Journal::replay(storage, &telemetry, "fleet", |redo| match redo {
             Redo::Round => {
                 scenario_round(&mut svc, &scenario)?;
-                Ok(Some(state_tree(&svc)))
+                Ok(Some(commit_state(&svc, false).digest))
             }
             Redo::Submission { offset, request } => Err(FleetError::WalCorrupt {
                 offset,
@@ -326,18 +411,98 @@ impl DurableFleet {
     }
 }
 
+/// Serial references for the commit path's tests.
+#[cfg(test)]
+pub(crate) mod reference {
+    use crate::wal::{fold_digests, state_digest};
+    use serde_json::Value;
+
+    /// The commit digest folded serially from the owner's whole snapshot tree: the
+    /// tenant array at `path` is taken out, each element digested, and the rest
+    /// digested as the head.
+    pub(crate) fn commit_digest(mut tree: Value, path: &[&str]) -> u64 {
+        let mut node = &mut tree;
+        for key in path {
+            let Value::Object(pairs) = node else {
+                panic!("no object at `{key}`")
+            };
+            node = &mut pairs
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .expect("path key")
+                .1;
+        }
+        let Value::Array(tenants) = std::mem::replace(node, Value::Array(Vec::new())) else {
+            panic!("no tenant array at {path:?}")
+        };
+        let digests: Vec<u64> = tenants.iter().map(state_digest).collect();
+        fold_digests(state_digest(&tree), &digests)
+    }
+
+    /// The commit digest of storage written before tenant folding: FNV-1a-64, one byte
+    /// at a time, over a tagged, length-prefixed encoding of the whole tree (one tag
+    /// byte, little-endian `u64` lengths and number bits, raw string bytes).
+    pub(crate) fn byte_fnv_tree_digest(value: &Value) -> u64 {
+        fn bytes(hash: &mut u64, bytes: &[u8]) {
+            for &b in bytes {
+                *hash = (*hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        fn header(hash: &mut u64, tag: u8, len: usize) {
+            bytes(hash, &[tag]);
+            bytes(hash, &(len as u64).to_le_bytes());
+        }
+        fn walk(hash: &mut u64, value: &Value) {
+            match value {
+                Value::Null => bytes(hash, b"n"),
+                Value::Number(n) if !n.is_finite() => bytes(hash, b"n"),
+                Value::Number(n) => {
+                    bytes(hash, b"#");
+                    bytes(hash, &n.to_bits().to_le_bytes());
+                }
+                Value::Bool(b) => bytes(hash, if *b { b"t" } else { b"f" }),
+                Value::String(s) => {
+                    header(hash, b'"', s.len());
+                    bytes(hash, s.as_bytes());
+                }
+                Value::Array(items) => {
+                    header(hash, b'[', items.len());
+                    items.iter().for_each(|item| walk(hash, item));
+                }
+                Value::Object(pairs) => {
+                    header(hash, b'{', pairs.len());
+                    for (key, item) in pairs {
+                        header(hash, b'"', key.len());
+                        bytes(hash, key.as_bytes());
+                        walk(hash, item);
+                    }
+                }
+            }
+        }
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        walk(&mut hash, value);
+        hash
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::{FaultSchedule, ScenarioEvent};
+    use crate::scheduler::SchedulerOptions;
     use crate::service::{small_tuner_options, FleetOptions};
     use crate::tenant::{TenantSpec, WorkloadFamily};
     use crate::wal::FRAME_LEN;
     use simdb::FaultKind;
 
     fn small_service(n: usize) -> FleetService {
+        service_with(n, 1, SchedulerOptions::default())
+    }
+
+    fn service_with(n: usize, workers: usize, scheduler: SchedulerOptions) -> FleetService {
         let mut svc = FleetService::new(FleetOptions {
-            workers: 1,
+            workers,
+            scheduler,
             tuner: small_tuner_options(),
             ..Default::default()
         });
@@ -519,10 +684,11 @@ mod tests {
         );
     }
 
-    #[test]
-    fn storage_from_text_digest_commits_restores_only_without_a_wal() {
-        // Storage written while commit frames carried the FNV-1a-64 of the canonical
-        // JSON text: the snapshot bytes are the same as today's, the digests are not.
+    /// Storage whose commit frames carry `old_digest` of the fleet after each round —
+    /// the digest of an earlier storage format over snapshot bytes that are the same as
+    /// today's — must be refused with a typed divergence on its first replayed round,
+    /// and restore from the snapshot alone when its WAL is empty.
+    fn assert_old_storage_restores_only_without_a_wal(old_digest: fn(&FleetService) -> u64) {
         let horizon = 5;
         let reference = reference_snapshot(horizon);
         let snapshot_json = small_service(2).canonical_snapshot_json();
@@ -536,12 +702,9 @@ mod tests {
         for _ in 0..2 {
             fleet.run_round().unwrap();
             let svc = fleet.service();
-            wal.append(
-                svc.rounds() as u64,
-                crate::wal::fnv1a64(svc.canonical_snapshot_json().as_bytes()),
-            );
+            wal.append(svc.rounds() as u64, old_digest(svc));
         }
-        let text_era = DurableStorage {
+        let old = DurableStorage {
             snapshot_json,
             snapshot_round: 0,
             wal_bytes: wal.bytes().to_vec(),
@@ -555,7 +718,7 @@ mod tests {
             )
         };
         // Its WAL tail is refused with a typed divergence on the first replayed round.
-        let err = recover(&text_era).unwrap_err();
+        let err = recover(&old).unwrap_err();
         assert!(
             matches!(err, FleetError::RecoveryDivergence { round: 1, .. }),
             "{err}"
@@ -563,12 +726,171 @@ mod tests {
         // With an empty WAL the snapshot alone restores, and continues bit-identically.
         let (mut recovered, report) = recover(&DurableStorage {
             wal_bytes: Vec::new(),
-            ..text_era
+            ..old
         })
         .unwrap();
         assert_eq!(report.replayed_rounds, 0);
         recovered.run_rounds(horizon).unwrap();
         assert_eq!(recovered.service().canonical_snapshot_json(), reference);
+    }
+
+    #[test]
+    fn storage_from_text_digest_commits_restores_only_without_a_wal() {
+        // Commit frames that carried the FNV-1a-64 of the canonical JSON text.
+        assert_old_storage_restores_only_without_a_wal(|svc| {
+            crate::wal::fnv1a64(svc.canonical_snapshot_json().as_bytes())
+        });
+    }
+
+    #[test]
+    fn storage_from_whole_tree_digest_commits_restores_only_without_a_wal() {
+        // Commit frames that carried the byte-at-a-time FNV-1a-64 of the whole snapshot
+        // tree, before per-tenant folding and the word mixer.
+        assert_old_storage_restores_only_without_a_wal(|svc| {
+            reference::byte_fnv_tree_digest(&serde_json::to_value(&svc.snapshot()).unwrap())
+        });
+    }
+
+    /// The commit state of `svc` — anchoring or not — against the serial reference: the
+    /// digest folded from its whole snapshot tree, and its canonical JSON.
+    fn assert_commit_matches_reference(svc: &FleetService, context: &str) {
+        let tree = serde_json::to_value(&svc.snapshot()).unwrap();
+        let want = reference::commit_digest(tree, &["tenants"]);
+        let anchored = commit_state(svc, true);
+        assert_eq!(anchored.digest, want, "{context}");
+        assert!(
+            anchored.text.as_deref() == Some(svc.canonical_snapshot_json().as_str()),
+            "{context}: anchor text differs from the canonical snapshot JSON"
+        );
+        let plain = commit_state(svc, false);
+        assert_eq!(plain.digest, want, "{context}");
+        assert!(plain.text.is_none(), "{context}");
+    }
+
+    #[test]
+    fn parallel_commit_equals_the_serial_reference() {
+        // One tenant per round gets 6 bonus slots; `t0` of the skewed fleet faults on
+        // every attempt, so it sits rounds out with 0 slots (backoff, quarantine).
+        let skew = SchedulerOptions {
+            base_slots: 1,
+            bonus_slots: 6,
+            bonus_fraction: 0.01,
+        };
+        for workers in [1, 2, 4] {
+            let mut skewed = service_with(5, workers, skew);
+            skewed
+                .session_mut("t0")
+                .unwrap()
+                .inject_faults(FaultKind::Timeout, 50);
+            let fleets = [
+                ("no tenants", service_with(0, workers, skew)),
+                ("one tenant", service_with(1, workers, skew)),
+                ("two tenants", service_with(2, workers, skew)),
+                ("quarantine and bonus slots", skewed),
+            ];
+            for (name, mut svc) in fleets {
+                let (mut idle, mut bonus) = (false, false);
+                for round in 0..6 {
+                    let context = format!("{name}, {workers} workers, round {round}");
+                    assert_commit_matches_reference(&svc, &context);
+                    let before = svc.granted_slots().to_vec();
+                    svc.run_round();
+                    for (after, before) in svc.granted_slots().iter().zip(&before) {
+                        idle |= after == before;
+                        bonus |= after - before > 1;
+                    }
+                }
+                assert_commit_matches_reference(&svc, &format!("{name}, {workers} workers"));
+                if svc.n_tenants() == 5 {
+                    assert!(
+                        idle && bonus,
+                        "the skewed fleet must idle one tenant and favour another"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn snapshots_are_counted_per_anchor_not_per_commit() {
+        let rounds = 10;
+        let run = |telemetry: TelemetryHandle| {
+            let mut svc = small_service(2);
+            svc.set_telemetry(telemetry);
+            let mut fleet = DurableFleet::new(
+                svc,
+                faulty_scenario(),
+                DurableOptions {
+                    snapshot_interval: 4,
+                },
+            );
+            fleet.run_rounds(rounds).unwrap();
+            fleet
+        };
+        let observed = run(TelemetryHandle::enabled());
+        let svc = observed.service();
+        // Genesis plus one anchor every 4 rounds.
+        let anchors = 1 + rounds / 4;
+        assert_eq!(
+            svc.metrics_snapshot().counter(CounterId::SnapshotsTaken),
+            anchors as u64
+        );
+        let events = svc.telemetry_events();
+        let journaled = events
+            .iter()
+            .filter(|e| e.kind == EventKind::SnapshotTaken)
+            .count();
+        assert_eq!(journaled, anchors);
+        // Telemetry never shows in what is stored.
+        let plain = run(TelemetryHandle::disabled());
+        assert_eq!(plain.storage(), observed.storage());
+        assert_eq!(
+            plain.service().canonical_snapshot_json(),
+            svc.canonical_snapshot_json()
+        );
+    }
+
+    #[test]
+    fn recovery_is_independent_of_the_worker_count() {
+        // `workers: 0` takes the worker count from the parallelism sample, which is not
+        // part of the snapshot: the same storage replays under any count.
+        let fleet_at = |parallelism: usize| {
+            let mut svc = service_with(4, 0, SchedulerOptions::default());
+            svc.set_parallelism(parallelism);
+            DurableFleet::new(svc, faulty_scenario(), DurableOptions::default())
+        };
+        let horizon = 9;
+        let mut reference = fleet_at(2);
+        reference.run_rounds(horizon).unwrap();
+        let reference = reference.service().canonical_snapshot_json();
+        for (crashed_at, recovered_at) in [(4, 1), (1, 4)] {
+            for kill_round in [3, 6] {
+                let context = format!("crash at {crashed_at} workers, round {kill_round}");
+                let mut fleet = fleet_at(crashed_at);
+                fleet.run_rounds(kill_round).unwrap();
+                let storage = fleet.crash(FRAME_LEN / 2);
+                let mut svc = FleetService::restore_json(&storage.snapshot_json).unwrap();
+                svc.set_parallelism(recovered_at);
+                let (mut recovered, report) = DurableFleet::resume(
+                    svc,
+                    &storage,
+                    faulty_scenario(),
+                    DurableOptions::default(),
+                )
+                .unwrap_or_else(|e| panic!("{context}: {e}"));
+                assert!(
+                    report.torn_bytes > 0 && report.replayed_rounds > 0,
+                    "{context}"
+                );
+                recovered
+                    .run_rounds(horizon - recovered.service().rounds())
+                    .unwrap();
+                assert!(
+                    recovered.service().canonical_snapshot_json() == reference,
+                    "{context}: recovered at {recovered_at} workers differs"
+                );
+            }
+        }
     }
 
     #[test]

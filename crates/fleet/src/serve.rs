@@ -49,7 +49,7 @@
 //! identical to an uninterrupted run's.
 
 use crate::error::FleetError;
-use crate::recovery::{DurableStorage, Journal, RecoveryReport, Redo};
+use crate::recovery::{CommitState, DurableStorage, Journal, RecoveryReport, Redo};
 use crate::service::{FleetService, FleetSnapshot};
 use crate::tenant::{DegradationTier, SessionHealth, TenantSpec};
 use telemetry::{CounterId, EventKind, GaugeId, TelemetryHandle};
@@ -382,14 +382,21 @@ impl FleetServer {
     /// journal anchors at and crash-recovery bit-identity compares. Serialization of
     /// well-formed in-memory state cannot fail.
     pub fn canonical_server_json(&self) -> String {
-        self.state_tree().to_string()
+        serde_json::to_string(&self.server_snapshot())
+            .expect("an in-memory server snapshot always serializes")
     }
 
-    /// The tree behind [`FleetServer::canonical_server_json`]: what the journal digests
-    /// every round, and renders only when it anchors a snapshot.
-    fn state_tree(&self) -> serde_json::Value {
-        serde_json::to_value(&self.server_snapshot())
-            .expect("an in-memory server snapshot always serializes")
+    /// What the journal commits: the state behind [`FleetServer::canonical_server_json`],
+    /// with its text when `render` is set.
+    fn commit_state(&self, render: bool) -> CommitState {
+        let head = ServerSnapshot {
+            options: self.options,
+            fleet: self.svc.head_snapshot(),
+            serve: self.serve.clone(),
+        };
+        let head =
+            serde_json::to_value(&head).expect("an in-memory server snapshot always serializes");
+        self.svc.commit_state(&head, &["fleet", "tenants"], render)
     }
 
     /// Why admission control would turn away a tenant named `name` right now, if it
@@ -582,8 +589,9 @@ impl FleetServer {
     /// [`ServeOptions::snapshot_interval`] rounds).
     pub fn run_round(&mut self, script: &TrafficScript) -> ServeRoundReport {
         let report = self.execute_round(script);
+        let state = self.commit_state(self.journal.anchors_next());
         self.journal
-            .commit(self.svc.rounds(), &self.state_tree(), self.svc.telemetry());
+            .commit(self.svc.rounds(), state, self.svc.telemetry());
         report
     }
 
@@ -723,11 +731,23 @@ impl FleetServer {
         script: &TrafficScript,
         telemetry: TelemetryHandle,
     ) -> Result<(Self, RecoveryReport), FleetError> {
-        let mut server = FleetServer::restore_json(&storage.snapshot_json, telemetry.clone())?;
+        let server = FleetServer::restore_json(&storage.snapshot_json, telemetry)?;
+        server.resume(storage, script)
+    }
+
+    /// The replay half of [`FleetServer::recover`]: re-applies `storage`'s logged inputs
+    /// to a server restored from `storage.snapshot_json`.
+    fn resume(
+        mut self,
+        storage: &DurableStorage,
+        script: &TrafficScript,
+    ) -> Result<(Self, RecoveryReport), FleetError> {
+        let telemetry = self.svc.telemetry().clone();
+        let server = &mut self;
         let report = Journal::replay(storage, &telemetry, "server", |redo| match redo {
             Redo::Round => {
                 server.execute_round(script);
-                Ok(Some(server.state_tree()))
+                Ok(Some(server.commit_state(false).digest))
             }
             // A refused submission was logged too; replay refuses it the same way.
             Redo::Submission { request, .. } => {
@@ -736,14 +756,18 @@ impl FleetServer {
             }
         })?;
         // Re-anchor at a fresh post-recovery snapshot; the old WAL bytes are superseded.
-        let (svc, options, serve) = (server.svc, server.options, server.serve);
-        Ok((FleetServer::anchored(svc, options, serve), report))
+        Ok((
+            FleetServer::anchored(self.svc, self.options, self.serve),
+            report,
+        ))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::reference;
+    use crate::scheduler::SchedulerOptions;
     use crate::service::{small_tuner_options, FleetOptions};
     use crate::tenant::{DegradationTier, WorkloadFamily};
     use simdb::FaultKind;
@@ -756,8 +780,18 @@ mod tests {
     }
 
     fn small_server(n_tenants: usize, options: ServeOptions) -> FleetServer {
+        server_with(n_tenants, 1, SchedulerOptions::default(), options)
+    }
+
+    fn server_with(
+        n_tenants: usize,
+        workers: usize,
+        scheduler: SchedulerOptions,
+        options: ServeOptions,
+    ) -> FleetServer {
         let mut svc = FleetService::new(FleetOptions {
-            workers: 1,
+            workers,
+            scheduler,
             tuner: small_tuner_options(),
             ..Default::default()
         });
@@ -766,6 +800,228 @@ mod tests {
             svc.admit(spec(&format!("t{i}"), 7000 + i as u64)).unwrap();
         }
         FleetServer::new(svc, options)
+    }
+
+    /// A script that keeps suggests for `t0` queued every round.
+    fn suggest_storm(rounds: usize) -> TrafficScript {
+        (0..rounds).fold(TrafficScript::new("storm"), |script, round| {
+            script.at(
+                round,
+                Request::Suggest {
+                    tenant: "t0".into(),
+                },
+            )
+        })
+    }
+
+    /// The commit state of `server` — anchoring or not — against the serial
+    /// reference: the digest folded from its whole snapshot tree, and its canonical JSON.
+    fn assert_commit_matches_reference(server: &FleetServer, context: &str) {
+        let tree = serde_json::to_value(&server.server_snapshot()).unwrap();
+        let want = reference::commit_digest(tree, &["fleet", "tenants"]);
+        let anchored = server.commit_state(true);
+        assert_eq!(anchored.digest, want, "{context}");
+        assert!(
+            anchored.text.as_deref() == Some(server.canonical_server_json().as_str()),
+            "{context}: anchor text differs from the canonical server JSON"
+        );
+        let plain = server.commit_state(false);
+        assert_eq!(plain.digest, want, "{context}");
+        assert!(plain.text.is_none(), "{context}");
+    }
+
+    #[test]
+    fn parallel_commit_equals_the_serial_reference() {
+        // One tenant per round gets 6 bonus slots; `t0` of the skewed fleet faults on
+        // every attempt, so it sits rounds out with 0 slots (backoff, quarantine).
+        let skew = SchedulerOptions {
+            base_slots: 1,
+            bonus_slots: 6,
+            bonus_fraction: 0.01,
+        };
+        let options = ServeOptions::default();
+        let script = suggest_storm(6);
+        for workers in [1, 2, 4] {
+            let mut skewed = server_with(5, workers, skew, options);
+            skewed
+                .service_mut()
+                .session_mut("t0")
+                .unwrap()
+                .inject_faults(FaultKind::Timeout, 50);
+            let servers = [
+                ("no tenants", server_with(0, workers, skew, options)),
+                ("one tenant", server_with(1, workers, skew, options)),
+                ("two tenants", server_with(2, workers, skew, options)),
+                ("quarantine and bonus slots", skewed),
+            ];
+            for (name, mut server) in servers {
+                let (mut idle, mut bonus) = (false, false);
+                for round in 0..6 {
+                    let context = format!("{name}, {workers} workers, round {round}");
+                    assert_commit_matches_reference(&server, &context);
+                    let before = server.service().granted_slots().to_vec();
+                    server.run_round(&script);
+                    for (after, before) in server.service().granted_slots().iter().zip(&before) {
+                        idle |= after == before;
+                        bonus |= after - before > 1;
+                    }
+                }
+                assert_commit_matches_reference(&server, &format!("{name}, {workers} workers"));
+                if server.service().n_tenants() == 5 {
+                    assert!(
+                        idle && bonus,
+                        "the skewed fleet must idle one tenant and favour another"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn snapshots_are_counted_per_anchor_not_per_commit() {
+        let rounds = 10;
+        let options = ServeOptions {
+            snapshot_interval: 4,
+            ..Default::default()
+        };
+        let script = suggest_storm(rounds);
+        let run = |telemetry: TelemetryHandle| {
+            let mut svc = FleetService::new(FleetOptions {
+                workers: 1,
+                tuner: small_tuner_options(),
+                ..Default::default()
+            });
+            svc.set_telemetry(telemetry);
+            for i in 0..2 {
+                svc.admit(spec(&format!("t{i}"), 7000 + i)).unwrap();
+            }
+            let mut server = FleetServer::new(svc, options);
+            for _ in 0..rounds {
+                server.run_round(&script);
+            }
+            server
+        };
+        let observed = run(TelemetryHandle::enabled());
+        let svc = observed.service();
+        // Genesis plus one anchor every 4 rounds.
+        let anchors = 1 + rounds / 4;
+        assert_eq!(
+            svc.metrics_snapshot().counter(CounterId::SnapshotsTaken),
+            anchors as u64
+        );
+        let events = svc.telemetry_events();
+        let journaled = events
+            .iter()
+            .filter(|e| e.kind == EventKind::SnapshotTaken)
+            .count();
+        assert_eq!(journaled, anchors);
+        let plain = run(TelemetryHandle::disabled());
+        assert_eq!(plain.storage(), observed.storage());
+    }
+
+    #[test]
+    fn recovery_is_independent_of_the_worker_count() {
+        // `workers: 0` takes the worker count from the parallelism sample, which is not
+        // part of the snapshot: the same storage replays under any count.
+        let options = ServeOptions {
+            queue_capacity: 2,
+            dispatch_per_round: 1,
+            snapshot_interval: 4,
+            ..Default::default()
+        };
+        let horizon = 9;
+        let script = suggest_storm(horizon);
+        let server_at = |parallelism: usize| {
+            let mut server = server_with(4, 0, SchedulerOptions::default(), options);
+            server.service_mut().set_parallelism(parallelism);
+            server
+        };
+        let mut reference = server_at(2);
+        for _ in 0..horizon {
+            reference.run_round(&script);
+        }
+        for (crashed_at, recovered_at) in [(4, 1), (1, 4)] {
+            for kill_round in [3, 6] {
+                let context = format!("crash at {crashed_at} workers, round {kill_round}");
+                let mut server = server_at(crashed_at);
+                for _ in 0..kill_round {
+                    server.run_round(&script);
+                }
+                let storage = server.crash(crate::wal::FRAME_LEN / 2);
+                let mut restored =
+                    FleetServer::restore_json(&storage.snapshot_json, TelemetryHandle::disabled())
+                        .unwrap();
+                restored.service_mut().set_parallelism(recovered_at);
+                let (mut recovered, report) = restored
+                    .resume(&storage, &script)
+                    .unwrap_or_else(|e| panic!("{context}: {e}"));
+                assert!(
+                    report.torn_bytes > 0 && report.replayed_rounds > 0,
+                    "{context}"
+                );
+                for _ in recovered.service().rounds()..horizon {
+                    recovered.run_round(&script);
+                }
+                assert!(
+                    recovered.canonical_server_json() == reference.canonical_server_json(),
+                    "{context}: recovered at {recovered_at} workers differs"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn storage_from_whole_tree_digest_commits_restores_only_without_a_wal() {
+        // Commit frames that carried the byte-at-a-time FNV-1a-64 of the whole server
+        // snapshot tree, before per-tenant folding and the word mixer. The snapshot
+        // bytes are the same as today's.
+        let script = suggest_storm(5);
+        let options = ServeOptions::default();
+        let horizon = 5;
+        let mut reference = small_server(2, options);
+        for _ in 0..horizon {
+            reference.run_round(&script);
+        }
+        let mut server = small_server(2, options);
+        let snapshot_json = server.storage().snapshot_json;
+        let mut wal = crate::wal::WriteAheadLog::new();
+        for _ in 0..2 {
+            server.run_round(&script);
+            let tree = serde_json::to_value(&server.server_snapshot()).unwrap();
+            wal.append(
+                server.service().rounds() as u64,
+                reference::byte_fnv_tree_digest(&tree),
+            );
+        }
+        let old = DurableStorage {
+            snapshot_json,
+            snapshot_round: 0,
+            wal_bytes: wal.bytes().to_vec(),
+        };
+        let err = FleetServer::recover(&old, &script, TelemetryHandle::disabled())
+            .map(|_| ())
+            .unwrap_err();
+        assert!(
+            matches!(err, FleetError::RecoveryDivergence { round: 1, .. }),
+            "{err}"
+        );
+        let (mut recovered, report) = FleetServer::recover(
+            &DurableStorage {
+                wal_bytes: Vec::new(),
+                ..old
+            },
+            &script,
+            TelemetryHandle::disabled(),
+        )
+        .unwrap();
+        assert_eq!(report.replayed_rounds, 0);
+        for _ in 0..horizon {
+            recovered.run_round(&script);
+        }
+        assert_eq!(
+            recovered.canonical_server_json(),
+            reference.canonical_server_json()
+        );
     }
 
     #[test]

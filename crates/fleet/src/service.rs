@@ -1,19 +1,26 @@
 //! The fleet service: tenants + scheduler + knowledge base + worker pool + snapshots.
 //!
 //! [`FleetService::run_round`] executes one scheduling round: the scheduler plans a slot
-//! count per tenant, the sessions run their slots in parallel on a worker thread pool
-//! (sessions are independent, so this is embarrassingly parallel), and the knowledge each
-//! session produced is merged into the shared [`KnowledgeBase`] *sequentially in tenant
-//! order* — keeping every floating-point accumulation and every pool mutation
-//! deterministic regardless of thread timing. That determinism is what makes the
-//! fleet-wide snapshot/restore replay test meaningful.
+//! count per tenant, the sessions run their slots in parallel on scoped worker threads
+//! that claim tenants one at a time in tenant order (sessions are independent, so this
+//! is embarrassingly parallel, and a tenant with many slots does not hold up a fixed
+//! share of the others), and the knowledge each session produced is merged into the
+//! shared [`KnowledgeBase`] *sequentially in tenant order* — keeping every
+//! floating-point accumulation and every pool mutation deterministic regardless of
+//! thread timing. That determinism is what makes the fleet-wide snapshot/restore replay
+//! test meaningful. A durable owner's commit runs on the same workers: each digests
+//! (and, on snapshot rounds, renders) the tenants it claims.
 
 use crate::error::FleetError;
 use crate::knowledge::{KnowledgeBase, KnowledgeBaseOptions, KnowledgeTotals, PoolKey};
+use crate::recovery::CommitState;
 use crate::scheduler::{SchedulerOptions, SessionScheduler, TenantStatus};
 use crate::tenant::{RetryPolicy, TenantSession, TenantSessionState, TenantSpec, TenantSummary};
+use crate::wal::state_digest;
 use onlinetune::subspace::SubspaceOptions;
 use onlinetune::OnlineTuneOptions;
+use serde_json::Value;
+use std::sync::Mutex;
 use telemetry::{CounterId, EventKind, GaugeId, SpanId, TelemetryHandle};
 
 /// Options of the fleet service.
@@ -196,6 +203,44 @@ pub struct FleetService {
 /// stored on the service.
 fn sample_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Runs `work` on every item of `items` on `workers` scoped threads (the calling thread
+/// is one of them) and returns the results in item order. Each worker claims the next
+/// unclaimed item from a shared cursor until none is left, so a costly item delays only
+/// the worker that claimed it. Which worker ran an item never shows in the result.
+fn claim_in_order<I, R>(items: I, workers: usize, work: impl Fn(I::Item) -> R + Sync) -> Vec<R>
+where
+    I: Iterator + Send,
+    R: Send,
+{
+    let cursor = Mutex::new(items.enumerate());
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            let claimed = cursor
+                .lock()
+                .expect("no worker panics holding the cursor")
+                .next();
+            let Some((i, item)) = claimed else {
+                return done;
+            };
+            done.push((i, work(item)));
+        }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
+        let mut done = drain();
+        for helper in helpers {
+            match helper.join() {
+                Ok(part) => done.extend(part),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 impl FleetService {
@@ -582,29 +627,19 @@ impl FleetService {
         plan.publish(&self.telemetry);
         let workers = self.effective_workers();
 
-        // Execute the round on the worker pool. Tenants are split into contiguous chunks;
-        // each chunk runs on one worker. Sessions are fully independent, so the only
-        // cross-tenant state — the knowledge base — is merged after the barrier, in tenant
-        // order, which keeps the whole round deterministic.
-        let chunk_size = self.tenants.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let mut sessions: &mut [TenantSession] = &mut self.tenants;
-            let mut slots: &[usize] = &plan.slots;
-            while !sessions.is_empty() {
-                let take = chunk_size.min(sessions.len());
-                let (chunk, rest) = sessions.split_at_mut(take);
-                let (chunk_slots, rest_slots) = slots.split_at(take);
-                sessions = rest;
-                slots = rest_slots;
-                scope.spawn(move || {
-                    for (session, &n) in chunk.iter_mut().zip(chunk_slots.iter()) {
-                        for _ in 0..n {
-                            session.step();
-                        }
-                    }
-                });
-            }
-        });
+        // Execute the round on the workers, each claiming the next tenant in order.
+        // Sessions are fully independent, so the only cross-tenant state — the knowledge
+        // base — is merged after the barrier, in tenant order, which keeps the whole
+        // round deterministic.
+        claim_in_order(
+            self.tenants.iter_mut().zip(&plan.slots),
+            workers,
+            |(session, &n)| {
+                for _ in 0..n {
+                    session.step();
+                }
+            },
+        );
 
         // Deterministic knowledge merge.
         for i in 0..self.tenants.len() {
@@ -725,6 +760,19 @@ impl FleetService {
     /// bytes) is identical whether telemetry is disabled, enabled, or was reconfigured
     /// mid-run.
     pub fn snapshot(&self) -> FleetSnapshot {
+        self.record_snapshot();
+        FleetSnapshot {
+            tenants: self
+                .tenants
+                .iter()
+                .map(TenantSession::export_state)
+                .collect(),
+            ..self.head_snapshot()
+        }
+    }
+
+    /// Counts a snapshot taken, and journals it when telemetry is on.
+    fn record_snapshot(&self) {
         self.telemetry.incr(CounterId::SnapshotsTaken);
         if self.telemetry.is_enabled() {
             self.telemetry.event(
@@ -733,17 +781,39 @@ impl FleetService {
                 &format!("rounds={} tenants={}", self.rounds, self.tenants.len()),
             );
         }
+    }
+
+    /// The snapshot without its tenant states: the head of a durable commit, which the
+    /// owner digests on its own thread. Records no snapshot.
+    pub(crate) fn head_snapshot(&self) -> FleetSnapshot {
         FleetSnapshot {
             options: self.options.clone(),
-            tenants: self
-                .tenants
-                .iter()
-                .map(TenantSession::export_state)
-                .collect(),
+            tenants: Vec::new(),
             knowledge: self.knowledge.clone(),
             scheduler: self.scheduler.clone(),
             rounds: self.rounds,
         }
+    }
+
+    /// The commit state of a durable owner whose snapshot tree is `head` with this
+    /// fleet's tenant states in the (emptied) array at `path`. The round's workers claim
+    /// tenants in order; each exports the tenant's state, builds its tree and digests it,
+    /// and on a commit that anchors a snapshot (`render`) also writes its JSON. The owner
+    /// then folds the parts in tenant order ([`CommitState::fold`]). Only an anchoring
+    /// commit counts as a snapshot taken.
+    pub(crate) fn commit_state(&self, head: &Value, path: &[&str], render: bool) -> CommitState {
+        if render {
+            self.record_snapshot();
+        }
+        let tenants = claim_in_order(self.tenants.iter(), self.effective_workers(), |session| {
+            let tree = serde_json::to_value(&session.export_state())
+                .expect("an in-memory tenant state always serializes");
+            CommitState {
+                digest: state_digest(&tree),
+                text: render.then(|| tree.to_string()),
+            }
+        });
+        CommitState::fold(head, path, tenants, render)
     }
 
     /// Serializes the fleet snapshot to JSON.
@@ -755,7 +825,7 @@ impl FleetService {
     /// in-memory snapshot cannot fail for well-formed state, and recovery paths need the
     /// canonical bytes without error plumbing. These are the snapshot bytes a durable
     /// journal anchors at and the crash-recovery bit-identity checks compare; the WAL
-    /// digests their tree instead ([`crate::wal::state_digest`]).
+    /// digests the tree per tenant instead ([`crate::wal::fold_digests`]).
     pub fn canonical_snapshot_json(&self) -> String {
         self.snapshot_json()
             .expect("an in-memory fleet snapshot always serializes")
@@ -876,6 +946,46 @@ mod tests {
                 y.total_score.to_bits(),
                 "{}",
                 x.name
+            );
+        }
+
+        // Skewed load: one tenant per round gets 12 bonus slots on top of everyone's
+        // one, so whichever worker claims it runs far longer than the rest. The
+        // snapshot (with the worker option itself blanked) must not depend on the
+        // worker count.
+        let skewed = |workers: usize| {
+            let mut svc = FleetService::new(FleetOptions {
+                workers,
+                scheduler: SchedulerOptions {
+                    base_slots: 1,
+                    bonus_slots: 12,
+                    bonus_fraction: 0.01,
+                },
+                tuner: small_tuner_options(),
+                ..Default::default()
+            });
+            svc.set_parallelism(4);
+            for i in 0..5 {
+                let family = WorkloadFamily::ALL[i % WorkloadFamily::ALL.len()];
+                let mut spec = TenantSpec::named(format!("tenant-{i}"), family, 3000 + i as u64);
+                spec.deterministic = true;
+                svc.admit(spec).unwrap();
+            }
+            svc.run_rounds(3);
+            let granted = svc.granted_slots();
+            assert!(
+                granted.iter().max().unwrap() >= &(granted.iter().min().unwrap() + 12),
+                "the load must be skewed: {granted:?}"
+            );
+            let mut snapshot = svc.snapshot();
+            snapshot.options.workers = 0;
+            serde_json::to_string(&snapshot).unwrap()
+        };
+        let reference = skewed(1);
+        for workers in [0, 2, 4, 8] {
+            assert!(
+                skewed(workers) == reference,
+                "skewed fleet at {workers} workers differs from 1 worker"
             );
         }
     }

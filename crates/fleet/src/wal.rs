@@ -16,10 +16,13 @@
 //!
 //! `crc32` is the IEEE CRC-32 of the payload (table-driven, implemented here — no
 //! external dependency). `seq` is a strictly increasing commit counter; `round` is the
-//! fleet round the entry commits; `digest` is the [`state_digest`] of the owner's
-//! snapshot tree after that round — an FNV-1a-64 hash of the tree's structure and number
-//! bits, taken without rendering JSON (text is written only when a snapshot is taken).
-//! Commit frames keep their bytes whatever submissions sit between them.
+//! fleet round the entry commits; `digest` is the [`fold_digests`] of the owner's state
+//! after that round: the [`state_digest`] of its snapshot tree without the tenant list,
+//! followed by each tenant's [`state_digest`] in tenant order. [`state_digest`] mixes a
+//! tagged, length-prefixed encoding of the tree one 64-bit word at a time (tags,
+//! lengths, number bits, 8-byte chunks of string), without rendering JSON; text is
+//! written only when a snapshot is taken. Commit frames keep their bytes whatever
+//! submissions sit between them.
 //!
 //! A crash can tear the tail of the journal anywhere. [`WriteAheadLog::scan`]
 //! detects a torn or checksum-corrupt *tail* (incomplete length prefix, payload
@@ -70,45 +73,62 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// An FNV-1a-64 hasher fed byte by byte.
-struct Fnv1a64(u64);
+/// FNV-1a 64-bit hash of `bytes`.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
 
-impl Fnv1a64 {
+/// The word mixer behind [`state_digest`] and [`fold_digests`]. Each 64-bit word is
+/// XORed into the state, which is then multiplied by an odd constant and folded with a
+/// right xorshift. Both steps are bijections of the state for a fixed word, so two
+/// inputs that differ in exactly one word never collide.
+struct WordHash(u64);
+
+impl WordHash {
     fn new() -> Self {
-        Fnv1a64(0xcbf2_9ce4_8422_2325)
+        WordHash(0xcbf2_9ce4_8422_2325)
     }
 
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+    fn word(&mut self, word: u64) {
+        let h = (self.0 ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 29);
     }
 
-    fn tag(&mut self, tag: u8) {
-        self.bytes(&[tag]);
-    }
-
-    /// A one-byte tag followed by a little-endian `u64` length.
+    /// A tag word followed by a length word.
     fn header(&mut self, tag: u8, len: usize) {
-        self.tag(tag);
-        self.bytes(&(len as u64).to_le_bytes());
+        self.word(tag as u64);
+        self.word(len as u64);
+    }
+
+    /// A length-prefixed string: one word per 8 bytes, the last chunk zero-padded (the
+    /// length word makes the padding unambiguous).
+    fn string(&mut self, s: &str) {
+        self.header(b'"', s.len());
+        let chunks = s.as_bytes().chunks_exact(8);
+        let tail = chunks.remainder();
+        for chunk in chunks {
+            self.word(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            self.word(u64::from_le_bytes(last));
+        }
     }
 
     fn value(&mut self, value: &Value) {
         match value {
             // The writer prints a non-finite number as `null`, so it digests as one.
-            Value::Null => self.tag(b'n'),
-            Value::Number(n) if !n.is_finite() => self.tag(b'n'),
+            Value::Null => self.word(b'n' as u64),
+            Value::Number(n) if !n.is_finite() => self.word(b'n' as u64),
             Value::Number(n) => {
-                self.tag(b'#');
-                self.bytes(&n.to_bits().to_le_bytes());
+                self.word(b'#' as u64);
+                self.word(n.to_bits());
             }
-            Value::Bool(b) => self.tag(if *b { b't' } else { b'f' }),
-            Value::String(s) => {
-                self.header(b'"', s.len());
-                self.bytes(s.as_bytes());
-            }
+            Value::Bool(b) => self.word(if *b { b't' } else { b'f' } as u64),
+            Value::String(s) => self.string(s),
             Value::Array(items) => {
                 self.header(b'[', items.len());
                 items.iter().for_each(|item| self.value(item));
@@ -116,8 +136,7 @@ impl Fnv1a64 {
             Value::Object(pairs) => {
                 self.header(b'{', pairs.len());
                 for (key, item) in pairs {
-                    self.header(b'"', key.len());
-                    self.bytes(key.as_bytes());
+                    self.string(key);
                     self.value(item);
                 }
             }
@@ -125,22 +144,29 @@ impl Fnv1a64 {
     }
 }
 
-/// FNV-1a 64-bit hash of `bytes`.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = Fnv1a64::new();
-    hash.bytes(bytes);
-    hash.0
-}
-
-/// The state digest committed with each WAL entry: FNV-1a-64 over a tagged,
-/// length-prefixed encoding of the state tree, so a commit never renders JSON.
+/// The digest of a state tree: a tagged, length-prefixed encoding of the tree mixed one
+/// 64-bit word at a time (one word per tag, length, number or 8 bytes of string), so a
+/// commit never renders JSON.
 ///
 /// A finite number is encoded by its `f64::to_bits` and a non-finite one exactly like
 /// `null` (the writer prints it as `null`). Two trees therefore have equal digests
 /// exactly when their canonical JSON text is equal, up to hash collisions.
 pub fn state_digest(value: &Value) -> u64 {
-    let mut hash = Fnv1a64::new();
+    let mut hash = WordHash::new();
     hash.value(value);
+    hash.0
+}
+
+/// The digest a WAL commit record carries: `head`, the [`state_digest`] of the owner's
+/// snapshot tree with its tenant list emptied, then the tenant count, then every
+/// tenant state's [`state_digest`] in tenant order. The tenant digests are computed in
+/// parallel; folding them in tenant order keeps the result independent of which worker
+/// computed which.
+pub fn fold_digests(head: u64, tenants: &[u64]) -> u64 {
+    let mut hash = WordHash::new();
+    hash.word(head);
+    hash.word(tenants.len() as u64);
+    tenants.iter().for_each(|&digest| hash.word(digest));
     hash.0
 }
 
@@ -152,7 +178,7 @@ pub struct WalEntry {
     /// Fleet round this entry commits (the value of `FleetService::rounds()` after the
     /// round ran).
     pub round: u64,
-    /// [`state_digest`] of the owner's snapshot tree after the round.
+    /// [`fold_digests`] of the owner's state after the round.
     pub digest: u64,
 }
 
