@@ -106,13 +106,6 @@ pub fn write_json(name: &str, results: &[SessionResult]) {
     }
 }
 
-/// Median of a sample set (consumed; NaNs sort as equal). The perf binaries report
-/// medians rather than means so a single scheduler hiccup cannot skew a cell.
-pub fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    samples[samples.len() / 2]
-}
-
 /// Reads the iteration-count override from the command line / environment.
 ///
 /// The experiment binaries default to the paper's iteration counts; passing a first CLI

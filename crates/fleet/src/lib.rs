@@ -36,7 +36,8 @@
 //! tenant's model update runs the incremental `O(t²)` GP path — rank-1 Cholesky
 //! extension via `gp::GaussianProcess::observe` — rather than an `O(t³)` refit, and restored
 //! sessions replay bit-identically because both paths produce identical posteriors. The
-//! `bench --bin hotpath` binary records the fleet-level per-iteration latency.
+//! repository benchmark (`perfbench`, fleet-durable workload) records the fleet-level
+//! per-iteration and per-round latency.
 //!
 //! ```no_run
 //! use fleet::service::{FleetOptions, FleetService};

@@ -652,7 +652,7 @@ mod tests {
 
     #[test]
     fn predict_batch_is_bit_identical_to_pointwise_and_reuses_scratch() {
-        let model = build_model();
+        let mut model = build_model();
         let candidates: Vec<Vec<f64>> = (0..9).map(|i| vec![i as f64 / 8.0]).collect();
         let context = [0.3];
         let mut scratch = Vec::new();
@@ -683,6 +683,27 @@ mod tests {
         for (a, b) in batch2.iter().zip(batch3.iter()) {
             assert_eq!(a.mean.to_bits(), b.mean.to_bits());
             assert_eq!(a.std_dev.to_bits(), b.std_dev.to_bits());
+        }
+        // A sweep wider than two `PREDICT_CHUNK`s is split across intra-op workers; every
+        // grant must reproduce the serial sweep and pointwise `predict` bit for bit.
+        let wide: Vec<Vec<f64>> = (0..130).map(|i| vec![i as f64 / 129.0]).collect();
+        assert!(wide.len() > 2 * crate::PREDICT_CHUNK);
+        model.set_intraop_workers(1);
+        let serial = model
+            .predict_batch_with_scratch(&wide, &context, &mut scratch)
+            .unwrap();
+        for workers in [2, 4] {
+            model.set_intraop_workers(workers);
+            let split = model
+                .predict_batch_with_scratch(&wide, &context, &mut scratch)
+                .unwrap();
+            assert_eq!(split.len(), wide.len());
+            let bits = |p: &Posterior| (p.mean.to_bits(), p.std_dev.to_bits());
+            for ((c, a), b) in wide.iter().zip(split.iter()).zip(serial.iter()) {
+                let p = model.predict(c, &context).unwrap();
+                assert_eq!(bits(a), bits(b), "workers={workers}");
+                assert_eq!(bits(a), bits(&p), "workers={workers}");
+            }
         }
     }
 

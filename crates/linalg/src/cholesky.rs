@@ -211,30 +211,39 @@ impl Cholesky {
     }
 
     /// The textbook row-by-row factorization, retained as the bit-identity reference for
-    /// the blocked [`Cholesky::decompose`] (property-tested in this module and enforced
-    /// per PR by `bench --bin fit_path`). Not used on any hot path.
+    /// the blocked [`Cholesky::decompose`]: the unit tests of this module
+    /// (`prop_blocked_decompose_within_4_ulps_of_reference`,
+    /// `blocked_decompose_is_bit_identical_to_reference_across_panel_boundaries`) compare
+    /// the two. Not used on any hot path.
     pub fn decompose_reference(a: &Matrix) -> Result<Self> {
-        Self::decompose_reference_inner(a, 0.0)
-    }
-
-    /// Jitter-escalating variant of [`Cholesky::decompose_reference`], allocating a
-    /// fresh factor per attempt exactly as the pre-blocking implementation did. Exists
-    /// so benchmarks can measure the old fit path faithfully; not used on any hot path.
-    pub fn decompose_reference_with_jitter(a: &Matrix, max_jitter: f64) -> Result<Self> {
-        if let Ok(c) = Self::decompose_reference_inner(a, 0.0) {
-            return Ok(c);
+        if !a.is_square() {
+            return Err(LinalgError::NotSquare {
+                rows: a.rows(),
+                cols: a.cols(),
+            });
         }
-        let mut jitter = 1e-10;
-        while jitter <= max_jitter {
-            if let Ok(c) = Self::decompose_reference_inner(a, jitter) {
-                return Ok(c);
+        let n = a.rows();
+        let mut l = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = a.get(i, j);
+                for k in 0..j {
+                    sum -= l.get(i, k) * l.get(j, k);
+                }
+                if i == j {
+                    if sum <= 0.0 || !sum.is_finite() {
+                        return Err(LinalgError::NotPositiveDefinite {
+                            pivot: i,
+                            value: sum,
+                        });
+                    }
+                    l.set(i, j, sum.sqrt());
+                } else {
+                    l.set(i, j, sum / l.get(j, j));
+                }
             }
-            jitter *= 10.0;
         }
-        Err(LinalgError::NotPositiveDefinite {
-            pivot: 0,
-            value: f64::NAN,
-        })
+        Ok(Cholesky { l, jitter: 0.0 })
     }
 
     /// Factorizes `a`, retrying with diagonal jitter `1e-10, 1e-9, ... , max_jitter` if the
@@ -301,40 +310,6 @@ impl Cholesky {
         if data.capacity() > scratch.spare.capacity() {
             scratch.spare = data;
         }
-    }
-
-    fn decompose_reference_inner(a: &Matrix, jitter: f64) -> Result<Self> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a.get(i, j);
-                if i == j {
-                    sum += jitter;
-                }
-                for k in 0..j {
-                    sum -= l.get(i, k) * l.get(j, k);
-                }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return Err(LinalgError::NotPositiveDefinite {
-                            pivot: i,
-                            value: sum,
-                        });
-                    }
-                    l.set(i, j, sum.sqrt());
-                } else {
-                    l.set(i, j, sum / l.get(j, j));
-                }
-            }
-        }
-        Ok(Cholesky { l, jitter })
     }
 
     /// The blocked in-place factorization kernel. `l` is reshaped to `n×n` (reusing its

@@ -6,7 +6,7 @@
 
 use serde::Serialize;
 
-/// Wall-clock timings of the OnlineTune stages for one iteration, in seconds.
+/// Wall-clock timings of the OnlineTune suggest stages for one iteration, in seconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct StageTimings {
     /// Selecting the per-cluster model for the observed context (SVM routing).
@@ -17,18 +17,16 @@ pub struct StageTimings {
     pub safety_assessment_s: f64,
     /// Candidate selection (UCB / boundary exploration).
     pub candidate_selection_s: f64,
-    /// Model update (GP refit and periodic hyper-parameter optimization + re-clustering).
-    pub model_update_s: f64,
 }
 
 impl StageTimings {
-    /// Total tuner-side computation time for the iteration.
+    /// Total time of the suggest stages for the iteration. The model update happens
+    /// in `observe`, which callers time themselves (see the `fig8_overhead` binary).
     pub fn total_s(&self) -> f64 {
         self.model_selection_s
             + self.subspace_adaptation_s
             + self.safety_assessment_s
             + self.candidate_selection_s
-            + self.model_update_s
     }
 }
 
@@ -83,9 +81,8 @@ mod tests {
             subspace_adaptation_s: 0.02,
             safety_assessment_s: 0.03,
             candidate_selection_s: 0.04,
-            model_update_s: 0.05,
         };
-        assert!((t.total_s() - 0.15).abs() < 1e-12);
+        assert!((t.total_s() - 0.10).abs() < 1e-12);
     }
 
     #[test]

@@ -27,10 +27,10 @@
 //!    of an `O(t³)` refit; a from-scratch refit only happens when hyper-parameters are
 //!    re-optimized, on re-clustering, or when the per-model observation budget evicts.
 //!
-//! Every stage records wall-clock timings in [`diagnostics::IterationDiagnostics`] so the
-//! overhead experiment (Figure 8 / Table A1) can be regenerated; the
-//! `bench --bin hotpath` binary tracks the incremental-vs-refit speedup
-//! (`BENCH_hotpath.json`).
+//! Every suggest stage records wall-clock timings in [`diagnostics::IterationDiagnostics`]
+//! so the overhead experiment (Figure 8 / Table A1, the `fig8_overhead` binary) can be
+//! regenerated; the repository benchmark (`perfbench`) times suggest and observe from
+//! outside.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

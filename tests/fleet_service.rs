@@ -1,9 +1,10 @@
 //! Integration tests of the fleet subsystem: snapshot→restore→replay determinism,
-//! cross-tenant warm start, and scheduler fairness.
+//! cross-tenant warm start, tenant churn, and scheduler fairness.
 
 use fleet::knowledge::PoolKey;
 use fleet::service::{small_tuner_options, FleetOptions, FleetService};
 use fleet::tenant::{TenantSession, TenantSpec, WorkloadFamily};
+use telemetry::{CounterId, TelemetryHandle};
 
 fn spec(name: &str, family: WorkloadFamily, seed: u64, deterministic: bool) -> TenantSpec {
     let mut s = TenantSpec::named(name, family, seed);
@@ -181,4 +182,60 @@ fn knowledge_pools_are_isolated_by_coordinate() {
         other.is_empty(),
         "a different hardware class must not inherit knowledge"
     );
+}
+
+/// Tenant churn: `remove_tenant` drains a departing tenant's queued knowledge into the
+/// shared base before the session is dropped, and same-family replacements warm-start
+/// from the drained pools (one `WarmStartHits` per replacement whose pool is non-empty).
+#[test]
+fn churn_drains_departing_knowledge_and_warm_starts_replacements() {
+    let n = 8;
+    let mut svc = mixed_service(n, false);
+    svc.set_telemetry(TelemetryHandle::enabled());
+    svc.run_rounds(3);
+
+    let leaving: Vec<TenantSpec> = svc.sessions()[..n / 2]
+        .iter()
+        .map(|s| s.spec().clone())
+        .collect();
+    for departing in &leaving {
+        // One step outside a round queues knowledge that no round-end merge has
+        // collected yet; only the removal drain can deliver it.
+        svc.session_mut(&departing.name)
+            .expect("tenant is admitted")
+            .step();
+        let before = svc.knowledge().totals();
+        let removed = svc.remove_tenant(&departing.name);
+        assert!(removed.is_ok(), "removing {}: {removed:?}", departing.name);
+        let after = svc.knowledge().totals();
+        assert!(
+            after.contributions > before.contributions,
+            "removing {} drained nothing: {before:?} -> {after:?}",
+            departing.name
+        );
+    }
+    assert_eq!(svc.n_tenants(), n - leaving.len());
+
+    let hits_before = svc.metrics_snapshot().counter(CounterId::WarmStartHits);
+    let mut expected_hits = 0;
+    for (i, departing) in leaving.iter().enumerate() {
+        let key = PoolKey::for_tenant(&departing.hardware, departing.family);
+        if !svc.knowledge().warm_start(&key).is_empty() {
+            expected_hits += 1;
+        }
+        svc.admit(spec(
+            &format!("replacement-{i}"),
+            departing.family,
+            5000 + i as u64,
+            false,
+        ))
+        .expect("replacement is admitted");
+    }
+    assert!(expected_hits > 0, "the drained pools must not all be empty");
+    assert_eq!(
+        svc.metrics_snapshot().counter(CounterId::WarmStartHits) - hits_before,
+        expected_hits
+    );
+    svc.run_rounds(2);
+    assert_eq!(svc.n_tenants(), n);
 }
