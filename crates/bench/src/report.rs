@@ -110,18 +110,45 @@ pub fn write_json(name: &str, results: &[SessionResult]) {
 ///
 /// The experiment binaries default to the paper's iteration counts; passing a first CLI
 /// argument or setting `ONLINETUNE_ITERS` shortens the runs (useful for smoke tests).
+/// A malformed override (see [`parse_iterations`]) prints a usage message and exits
+/// with status 2 instead of silently running the full default.
 pub fn iterations_from_env(default: usize) -> usize {
-    if let Some(arg) = std::env::args().nth(1) {
-        if let Ok(n) = arg.parse::<usize>() {
-            return n.max(1);
+    let mut args = std::env::args();
+    let bin = args.next().unwrap_or_default();
+    let env = std::env::var_os("ONLINETUNE_ITERS").map(|v| v.to_string_lossy().into_owned());
+    match parse_iterations(default, args.next().as_deref(), env.as_deref()) {
+        Ok(n) => n,
+        Err(reason) => {
+            eprintln!(
+                "{reason}\nusage: {bin} [ITERATIONS] [--flags]  (or ONLINETUNE_ITERS=ITERATIONS)"
+            );
+            std::process::exit(2);
         }
     }
-    if let Ok(var) = std::env::var("ONLINETUNE_ITERS") {
-        if let Ok(n) = var.parse::<usize>() {
-            return n.max(1);
-        }
+}
+
+/// The iteration count for a binary whose first argument is `arg` and whose
+/// `ONLINETUNE_ITERS` is `env`: a numeric `arg` wins, then a numeric `env`, then
+/// `default`; `0` clamps to 1. An `arg` starting with `--` is a flag, not an override.
+/// Any other `arg`, or an `env` that is not a number, is an error naming the value.
+pub fn parse_iterations(
+    default: usize,
+    arg: Option<&str>,
+    env: Option<&str>,
+) -> Result<usize, String> {
+    if let Some(arg) = arg.filter(|a| !a.starts_with("--")) {
+        return arg
+            .parse::<usize>()
+            .map(|n| n.max(1))
+            .map_err(|_| format!("the iteration override `{arg}` is not a number"));
     }
-    default
+    match env {
+        Some(var) => var
+            .parse::<usize>()
+            .map(|n| n.max(1))
+            .map_err(|_| format!("ONLINETUNE_ITERS=`{var}` is not a number")),
+        None => Ok(default),
+    }
 }
 
 #[cfg(test)]
@@ -162,10 +189,37 @@ mod tests {
 
     #[test]
     fn iterations_from_env_uses_default_without_override() {
-        std::env::remove_var("ONLINETUNE_ITERS");
-        // The test binary's argv[1] (if any) is a test-name filter, not a number, so the
-        // default must win.
-        assert_eq!(iterations_from_env(123), 123);
+        assert_eq!(parse_iterations(123, None, None), Ok(123));
+        // A flag is not an override.
+        assert_eq!(parse_iterations(123, Some("--smoke"), None), Ok(123));
+    }
+
+    #[test]
+    fn iteration_overrides_are_numbers_or_errors() {
+        assert_eq!(parse_iterations(400, Some("20"), None), Ok(20));
+        assert_eq!(
+            parse_iterations(400, Some("0"), None),
+            Ok(1),
+            "0 clamps to 1"
+        );
+        assert_eq!(parse_iterations(400, None, Some("30")), Ok(30));
+        assert_eq!(
+            parse_iterations(400, Some("20"), Some("30")),
+            Ok(20),
+            "argv wins"
+        );
+        assert_eq!(parse_iterations(400, Some("--smoke"), Some("30")), Ok(30));
+        // A typo (letter O for zero) must not silently run the 400-iteration default.
+        let err = parse_iterations(400, Some("2O"), None).unwrap_err();
+        assert!(err.contains("`2O`"), "{err}");
+        assert!(parse_iterations(400, Some("-5"), None).is_err());
+        assert!(parse_iterations(400, Some("2O"), Some("30")).is_err());
+        let err = parse_iterations(400, None, Some("ten")).unwrap_err();
+        assert!(
+            err.contains("ONLINETUNE_ITERS") && err.contains("`ten`"),
+            "{err}"
+        );
+        assert!(parse_iterations(400, Some("--smoke"), Some("")).is_err());
     }
 
     #[test]

@@ -439,6 +439,30 @@ pub(crate) mod reference {
         fold_digests(state_digest(&tree), &digests)
     }
 
+    /// `tree` as it was written while the options still carried worker grants:
+    /// `hyperopt_workers` and `intraop_workers` follow `workers` in the fleet options
+    /// and `hyperopt_period` in every cluster-options object, each set to 1.
+    pub(crate) fn with_worker_keys(tree: Value) -> Value {
+        match tree {
+            Value::Array(items) => Value::Array(items.into_iter().map(with_worker_keys).collect()),
+            Value::Object(pairs) => {
+                let is_fleet_options = pairs.iter().any(|(k, _)| k == "scheduler");
+                let mut out = Vec::with_capacity(pairs.len() + 2);
+                for (key, item) in pairs {
+                    let grants = key == "hyperopt_period" || (is_fleet_options && key == "workers");
+                    out.push((key, with_worker_keys(item)));
+                    if grants {
+                        for grant in ["hyperopt_workers", "intraop_workers"] {
+                            out.push((grant.to_string(), Value::Number(1.0)));
+                        }
+                    }
+                }
+                Value::Object(out)
+            }
+            leaf => leaf,
+        }
+    }
+
     /// The commit digest of storage written before tenant folding: FNV-1a-64, one byte
     /// at a time, over a tagged, length-prefixed encoding of the whole tree (one tag
     /// byte, little-endian `u64` lengths and number bits, raw string bytes).
@@ -684,25 +708,35 @@ mod tests {
         );
     }
 
-    /// Storage whose commit frames carry `old_digest` of the fleet after each round —
-    /// the digest of an earlier storage format over snapshot bytes that are the same as
-    /// today's — must be refused with a typed divergence on its first replayed round,
-    /// and restore from the snapshot alone when its WAL is empty.
-    fn assert_old_storage_restores_only_without_a_wal(old_digest: fn(&FleetService) -> u64) {
+    /// Storage in an earlier format — snapshot text rendered from `old_tree` of the
+    /// fleet's snapshot tree, and commit frames carrying `old_digest` of that old tree
+    /// after each round — must be refused with a typed divergence on its first replayed
+    /// round, and restore from the snapshot alone when its WAL is empty.
+    fn assert_old_storage_restores_only_without_a_wal(
+        old_tree: fn(Value) -> Value,
+        old_digest: fn(&Value) -> u64,
+    ) {
         let horizon = 5;
         let reference = reference_snapshot(horizon);
-        let snapshot_json = small_service(2).canonical_snapshot_json();
+        let old_tree_of =
+            |svc: &FleetService| old_tree(serde_json::to_value(&svc.snapshot()).unwrap());
+        let snapshot_json = serde_json::to_string(&old_tree_of(&small_service(2))).unwrap();
         let mut fleet = DurableFleet::new(
             small_service(2),
             faulty_scenario(),
             DurableOptions::default(),
         );
-        assert_eq!(fleet.storage().snapshot_json, snapshot_json);
+        // The genesis anchor is the rendering of today's tree.
+        assert_eq!(
+            fleet.storage().snapshot_json,
+            serde_json::to_string(&serde_json::to_value(&fleet.service().snapshot()).unwrap())
+                .unwrap()
+        );
         let mut wal = WriteAheadLog::new();
         for _ in 0..2 {
             fleet.run_round().unwrap();
             let svc = fleet.service();
-            wal.append(svc.rounds() as u64, old_digest(svc));
+            wal.append(svc.rounds() as u64, old_digest(&old_tree_of(svc)));
         }
         let old = DurableStorage {
             snapshot_json,
@@ -737,17 +771,29 @@ mod tests {
     #[test]
     fn storage_from_text_digest_commits_restores_only_without_a_wal() {
         // Commit frames that carried the FNV-1a-64 of the canonical JSON text.
-        assert_old_storage_restores_only_without_a_wal(|svc| {
-            crate::wal::fnv1a64(svc.canonical_snapshot_json().as_bytes())
-        });
+        assert_old_storage_restores_only_without_a_wal(
+            |tree| tree,
+            |tree| crate::wal::fnv1a64(serde_json::to_string(tree).unwrap().as_bytes()),
+        );
     }
 
     #[test]
     fn storage_from_whole_tree_digest_commits_restores_only_without_a_wal() {
         // Commit frames that carried the byte-at-a-time FNV-1a-64 of the whole snapshot
         // tree, before per-tenant folding and the word mixer.
-        assert_old_storage_restores_only_without_a_wal(|svc| {
-            reference::byte_fnv_tree_digest(&serde_json::to_value(&svc.snapshot()).unwrap())
+        assert_old_storage_restores_only_without_a_wal(
+            |tree| tree,
+            reference::byte_fnv_tree_digest,
+        );
+    }
+
+    #[test]
+    fn storage_with_worker_grant_keys_restores_only_without_a_wal() {
+        // Storage written while the options carried worker grants: today's digest
+        // format over trees with the grant keys (four in the head, two per tenant).
+        // Dropping the keys changes the digests, so its WAL tail is refused.
+        assert_old_storage_restores_only_without_a_wal(reference::with_worker_keys, |tree| {
+            reference::commit_digest(tree.clone(), &["tenants"])
         });
     }
 

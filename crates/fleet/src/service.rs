@@ -28,38 +28,6 @@ use telemetry::{CounterId, EventKind, GaugeId, SpanId, TelemetryHandle};
 pub struct FleetOptions {
     /// Worker threads used per round (0 = one per available CPU, capped by tenant count).
     pub workers: usize,
-    /// Worker threads each tenant's periodic hyper-parameter optimization may use for
-    /// its restart searches (see [`gp::hyperopt::HyperOptOptions::workers`]; 0 = one
-    /// per available CPU).
-    ///
-    /// **Combined budget:** tenant-level and hyperopt-level parallelism multiply — every
-    /// tenant worker can be inside a hyperopt refit at once — so the service enforces
-    /// `tenant_workers × hyperopt_workers ≤ available_parallelism` by clamping this
-    /// value at admission ([`FleetService::effective_hyperopt_workers`]). Selected
-    /// hyper-parameters are worker-count independent bit for bit, so the clamp affects
-    /// wall-clock time only, never replay determinism.
-    ///
-    /// Deserializes to 0 from snapshots written before the field existed
-    /// (`#[serde(default)]`); 0 already means "resolve against the remaining budget",
-    /// so old snapshots restore with a valid grant instead of erroring.
-    #[serde(default)]
-    pub hyperopt_workers: usize,
-    /// Intra-op worker threads granted to each tenant's model computations: threads
-    /// *inside* one Cholesky factorization's trailing-panel update and one suggest
-    /// sweep's batched prediction (see
-    /// [`gp::regression::GaussianProcess::set_intraop_workers`]; 0 = resolve against
-    /// the remaining budget).
-    ///
-    /// **Three-level budget:** tenant-, hyperopt- and intra-op-level parallelism
-    /// multiply — every tenant worker can be inside a hyperopt refit whose every
-    /// restart search factorizes with intra-op workers — so the service enforces
-    /// `tenant_workers × hyperopt_workers × intraop_workers ≤ available_parallelism`
-    /// by clamping this value at admission and on snapshot restore
-    /// ([`FleetService::effective_intraop_workers`]). Every computed value is
-    /// bit-identical at every grant, so the clamp shapes wall-clock time only.
-    /// Deserializes to 0 (= budget-resolved) from older snapshots.
-    #[serde(default)]
-    pub intraop_workers: usize,
     /// Scheduler configuration.
     pub scheduler: SchedulerOptions,
     /// Knowledge-base bounds.
@@ -67,13 +35,6 @@ pub struct FleetOptions {
     /// Whether newly admitted tenants are warm-started from the knowledge base.
     pub warm_start_on_admit: bool,
     /// Tuner options applied to every tenant.
-    ///
-    /// Note: `tuner.cluster.hyperopt_workers` is *managed by the service* — it is
-    /// overwritten with the clamped grant derived from
-    /// [`FleetOptions::hyperopt_workers`] at admission and on snapshot restore, so a
-    /// value set here directly has no effect at fleet level. Configure the fleet's
-    /// hyperopt parallelism through [`FleetOptions::hyperopt_workers`] instead (the
-    /// nested field remains meaningful for standalone, non-fleet tuners).
     pub tuner: OnlineTuneOptions,
     /// Fault handling applied to every tenant: retry/backoff bounds and the quarantine
     /// probation schedule (see [`RetryPolicy`]). Counted in scheduler rounds, so the
@@ -86,8 +47,6 @@ impl Default for FleetOptions {
     fn default() -> Self {
         FleetOptions {
             workers: 0,
-            hyperopt_workers: 1,
-            intraop_workers: 1,
             scheduler: SchedulerOptions::default(),
             knowledge: KnowledgeBaseOptions::default(),
             warm_start_on_admit: true,
@@ -185,11 +144,10 @@ pub struct FleetService {
     knowledge: KnowledgeBase,
     scheduler: SessionScheduler,
     rounds: usize,
-    /// The machine parallelism every worker-budget clamp derives from, sampled **once**
-    /// at construction (or injected via [`FleetService::set_parallelism`]). Sampling
-    /// `available_parallelism()` independently per clamp would let admission and
-    /// restore disagree when the visible CPU count changes between calls (cgroup
-    /// resize, affinity mask); one stored sample keeps every grant mutually consistent.
+    /// The machine parallelism that `workers: 0` resolves to, sampled **once** at
+    /// construction (or injected via [`FleetService::set_parallelism`]), so the round's
+    /// worker count and the serving layer's admission sizing always agree, even if the
+    /// visible CPU count changes between calls (cgroup resize, affinity mask).
     /// Runtime-only, never serialized: a restored service re-samples on *its* machine.
     parallelism: usize,
     /// Fleet-level observability sink (runtime-only, never serialized). Each session
@@ -259,11 +217,10 @@ impl FleetService {
         }
     }
 
-    /// Overrides the machine-parallelism sample every worker-budget clamp derives from
-    /// (clamped to ≥ 1). For tests and operators pinning the budget below the visible
-    /// CPU count; affects grants handed out *after* the call (admission, restore-time
-    /// re-grants via [`FleetService::regrant_workers`]), and wall-clock time only —
-    /// every computed value is worker-count independent.
+    /// Overrides the machine-parallelism sample that `workers: 0` resolves to (clamped
+    /// to ≥ 1). For tests and operators pinning the tenant workers below the visible
+    /// CPU count; affects wall-clock time only — every computed value is worker-count
+    /// independent.
     pub fn set_parallelism(&mut self, parallelism: usize) {
         self.parallelism = parallelism.max(1);
     }
@@ -271,19 +228,6 @@ impl FleetService {
     /// The stored machine-parallelism sample (see [`FleetService::set_parallelism`]).
     pub fn parallelism(&self) -> usize {
         self.parallelism
-    }
-
-    /// Recomputes and re-applies the hyperopt and intra-op grants of every tenant from
-    /// the current options and stored parallelism. Called by restore; also useful after
-    /// [`FleetService::set_parallelism`] to propagate a changed budget to existing
-    /// sessions.
-    pub fn regrant_workers(&mut self) {
-        let hyperopt = self.effective_hyperopt_workers();
-        let intraop = self.effective_intraop_workers();
-        for session in &mut self.tenants {
-            session.set_hyperopt_workers(hyperopt);
-            session.set_intraop_workers(intraop);
-        }
     }
 
     /// Installs a telemetry sink on the service and re-childs every session (and its
@@ -333,12 +277,7 @@ impl FleetService {
     /// that would panic or poison the fleet on its first step.
     pub fn admit(&mut self, spec: TenantSpec) -> Result<usize, FleetError> {
         let key = PoolKey::for_tenant(&spec.hardware, spec.family_at(0));
-        let mut tuner = self.options.tuner.clone();
-        // Enforce the three-level parallelism budget (see `FleetOptions::intraop_workers`)
-        // at admission, when the session's tuner options are fixed.
-        tuner.cluster.hyperopt_workers = self.effective_hyperopt_workers();
-        tuner.cluster.intraop_workers = self.effective_intraop_workers();
-        let mut session = match TenantSession::new(spec, tuner) {
+        let mut session = match TenantSession::new(spec, self.options.tuner.clone()) {
             Ok(session) => session,
             Err(err) => {
                 self.telemetry.incr(CounterId::AdmissionRejections);
@@ -549,18 +488,15 @@ impl FleetService {
     /// Tenant-level worker threads actually used per round: the configured value
     /// (0 = one per CPU), clamped to `[1, n_tenants]`.
     fn effective_workers(&self) -> usize {
-        let configured = if self.options.workers == 0 {
-            self.parallelism
-        } else {
-            self.options.workers
-        };
-        configured.clamp(1, self.tenants.len().max(1))
+        self.tenant_worker_budget()
+            .clamp(1, self.tenants.len().max(1))
     }
 
-    /// The tenant-worker term of the multiplicative budget: the *configured* worker
-    /// count (not the tenant-count-clamped one) so a tenant admitted early does not get
-    /// a grant the budget cannot honor once the fleet fills up.
-    fn budget_tenant_workers(&self) -> usize {
+    /// The configured tenant worker count, with 0 resolved against the stored
+    /// parallelism sample — the quantity the serving layer's admission control sizes
+    /// the fleet against (see [`crate::serve::FleetServer`]). Tenants are the one unit
+    /// of parallelism: each tenant's model work runs on the worker that claimed it.
+    pub fn tenant_worker_budget(&self) -> usize {
         if self.options.workers == 0 {
             self.parallelism
         } else {
@@ -568,44 +504,18 @@ impl FleetService {
         }
     }
 
-    /// The tenant-worker term of the three-level budget (the configured worker count,
-    /// with 0 resolved against the stored parallelism sample) — the quantity the
-    /// serving layer's admission control sizes the fleet against (see
-    /// [`crate::serve::FleetServer`]).
-    pub fn tenant_worker_budget(&self) -> usize {
-        self.budget_tenant_workers()
-    }
-
-    /// Hyperopt-level worker threads granted to each tenant's periodic refit, clamped so
-    /// the combined budget `tenant_workers × hyperopt_workers ≤ available_parallelism`
-    /// holds. The tenant side of the product uses the *configured* worker count (not the
-    /// tenant-count-clamped one) so a tenant admitted early does not get a grant the
-    /// budget cannot honor once the fleet fills up.
-    ///
-    /// A request of 0 ("one per CPU") resolves to the full remaining budget. Selected
-    /// hyper-parameters are worker-count independent, so this clamp only shapes
-    /// wall-clock time, never results.
+    /// Always 1: a tenant's hyper-parameter refit runs its restarts serially on the
+    /// worker that claimed the tenant. Kept only because the repository benchmark
+    /// prints it; to be deleted with the benchmark's next change.
     pub fn effective_hyperopt_workers(&self) -> usize {
-        let budget = (self.parallelism / self.budget_tenant_workers()).max(1);
-        match self.options.hyperopt_workers {
-            0 => budget,
-            w => w.min(budget),
-        }
+        1
     }
 
-    /// Intra-op worker threads granted to each tenant's factorizations and suggest
-    /// sweeps — the third level of the multiplicative budget
-    /// `tenant_workers × hyperopt_workers × intraop_workers ≤ available_parallelism`.
-    /// The remaining budget divides what the first two levels already claim; a request
-    /// of 0 resolves to all of it. Every computed value is bit-identical at every
-    /// grant, so the clamp shapes wall-clock time only.
+    /// Always 1: a tenant's factorizations and suggest sweeps run serially on the
+    /// worker that claimed the tenant. Kept only because the repository benchmark
+    /// prints it; to be deleted with the benchmark's next change.
     pub fn effective_intraop_workers(&self) -> usize {
-        let claimed = self.budget_tenant_workers() * self.effective_hyperopt_workers();
-        let budget = (self.parallelism / claimed.max(1)).max(1);
-        match self.options.intraop_workers {
-            0 => budget,
-            w => w.min(budget),
-        }
+        1
     }
 
     /// Executes one scheduling round; returns the number of iterations run.
@@ -832,13 +742,8 @@ impl FleetService {
     }
 
     /// Rebuilds a service from a snapshot; every session continues bit-identically.
-    ///
-    /// The hyperopt and intra-op worker grants are re-clamped against *this* machine's
-    /// parallelism, sampled once for the restored service (snapshots may have been
-    /// taken on a machine with a different CPU count, and the three-level budget of
-    /// [`FleetOptions::intraop_workers`] must hold where the fleet actually runs).
-    /// All worker-count-dependent computations are bit-identical across grants, so the
-    /// re-grant cannot perturb replay.
+    /// `workers: 0` resolves against *this* machine's parallelism, sampled once for the
+    /// restored service.
     ///
     /// Malformed per-tenant state surfaces as [`FleetError::TenantRestore`] naming the
     /// offending tenant — a damaged snapshot degrades into a typed error, not a panic.
@@ -848,7 +753,7 @@ impl FleetService {
             .into_iter()
             .map(TenantSession::restore)
             .collect::<Result<Vec<_>, _>>()?;
-        let mut svc = FleetService {
+        Ok(FleetService {
             options: snapshot.options,
             tenants,
             knowledge: snapshot.knowledge,
@@ -856,9 +761,7 @@ impl FleetService {
             rounds: snapshot.rounds,
             parallelism: sample_parallelism(),
             telemetry: TelemetryHandle::disabled(),
-        };
-        svc.regrant_workers();
-        Ok(svc)
+        })
     }
 
     /// [`FleetService::restore`] plus telemetry re-installation: snapshots never carry
@@ -998,265 +901,62 @@ mod tests {
     }
 
     #[test]
-    fn fleet_execution_is_bit_identical_across_the_three_level_worker_grid() {
-        // The full tenant × hyperopt × intraop grid of ISSUE 9: every grant combination
-        // must produce the same per-tenant trajectories bit for bit. hyperopt_period is
-        // lowered so the periodic refit (the hyperopt × intraop hot path) actually runs
-        // within the test's horizon.
-        let run = |workers: usize, hyperopt: usize, intraop: usize| {
-            let mut tuner = small_tuner_options();
-            tuner.cluster.hyperopt_period = 3;
-            let mut svc = FleetService::new(FleetOptions {
-                workers,
-                hyperopt_workers: hyperopt,
-                intraop_workers: intraop,
-                tuner,
-                ..Default::default()
-            });
-            // Decouple the grants from the machine the test runs on: with 64 injected
-            // CPUs no level is clamped below its requested value.
-            svc.set_parallelism(64);
-            for i in 0..3 {
-                let family = WorkloadFamily::ALL[i % WorkloadFamily::ALL.len()];
-                let mut spec = TenantSpec::named(format!("tenant-{i}"), family, 2000 + i as u64);
-                spec.deterministic = true;
-                svc.admit(spec).unwrap();
-            }
-            svc.run_rounds(3);
-            svc.summaries()
-        };
-        let baseline = run(1, 1, 1);
-        assert!(
-            baseline.iter().all(|t| t.iterations >= 3),
-            "horizon too short to exercise the hyperopt period"
-        );
-        for w in [1usize, 2, 4] {
-            for h in [1usize, 2, 4] {
-                for i in [1usize, 2, 4] {
-                    let grid = run(w, h, i);
-                    for (x, y) in grid.iter().zip(baseline.iter()) {
-                        assert_eq!(x.iterations, y.iterations, "({w},{h},{i}) {}", x.name);
-                        assert_eq!(
-                            x.cumulative_regret.to_bits(),
-                            y.cumulative_regret.to_bits(),
-                            "({w},{h},{i}) {}",
-                            x.name
-                        );
-                        assert_eq!(
-                            x.total_score.to_bits(),
-                            y.total_score.to_bits(),
-                            "({w},{h},{i}) {}",
-                            x.name
-                        );
-                        assert_eq!(x.unsafe_count, y.unsafe_count, "({w},{h},{i}) {}", x.name);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn worker_budgets_derive_from_one_injected_parallelism_sample() {
-        // With an injected sample every clamp is deterministic and mutually consistent —
-        // the bug this guards against was three independent `available_parallelism()`
-        // reads that could disagree mid-flight (cgroup resize, affinity change).
+        // `workers: 0` resolves against the stored sample, never a fresh
+        // `available_parallelism()` read, so the round's worker count and the serving
+        // layer's admission sizing cannot disagree mid-flight.
         let mut svc = FleetService::new(FleetOptions {
-            workers: 2,
-            hyperopt_workers: 0,
-            intraop_workers: 0,
+            workers: 0,
             tuner: small_tuner_options(),
             ..Default::default()
         });
         svc.set_parallelism(16);
         assert_eq!(svc.parallelism(), 16);
-        // Request 0 = full remaining budget per level: 16/2 = 8 hyperopt, then nothing
-        // left for intra-op.
-        assert_eq!(svc.effective_hyperopt_workers(), 8);
-        assert_eq!(svc.effective_intraop_workers(), 1);
-
+        assert_eq!(svc.tenant_worker_budget(), 16);
+        // With no tenants the round still runs on one worker.
+        assert_eq!(svc.effective_workers(), 1);
+        svc.set_parallelism(0);
+        assert_eq!(
+            svc.tenant_worker_budget(),
+            1,
+            "a sample of 0 means one worker"
+        );
+        // A configured count ignores the sample.
         let mut svc = FleetService::new(FleetOptions {
-            workers: 2,
-            hyperopt_workers: 2,
-            intraop_workers: 64,
+            workers: 3,
             tuner: small_tuner_options(),
             ..Default::default()
         });
         svc.set_parallelism(16);
-        assert_eq!(svc.effective_hyperopt_workers(), 2);
-        // intraop budget = 16 / (2 × 2) = 4; the oversized request clamps down to it.
-        assert_eq!(svc.effective_intraop_workers(), 4);
-        // Both grants land in the admitted tenant's tuner options and the product holds.
-        let idx = svc
-            .admit(TenantSpec::named(
-                "t0".to_string(),
-                WorkloadFamily::ALL[0],
-                1,
-            ))
-            .unwrap();
-        let state = svc.tenants[idx].export_state();
-        assert_eq!(state.tuner.options.cluster.hyperopt_workers, 2);
-        assert_eq!(state.tuner.options.cluster.intraop_workers, 4);
-
-        // Shrinking the budget after admission and re-granting propagates to sessions.
-        svc.set_parallelism(4);
-        svc.regrant_workers();
-        let state = svc.tenants[idx].export_state();
-        assert_eq!(state.tuner.options.cluster.hyperopt_workers, 2);
-        assert_eq!(state.tuner.options.cluster.intraop_workers, 1);
+        assert_eq!(svc.tenant_worker_budget(), 3);
+        assert_eq!(svc.effective_hyperopt_workers(), 1);
+        assert_eq!(svc.effective_intraop_workers(), 1);
     }
 
     #[test]
-    fn three_level_budget_product_never_exceeds_parallelism() {
-        for p in [1usize, 2, 3, 4, 6, 8, 16, 64] {
-            for workers in [0usize, 1, 2, 4, 8] {
-                for hyperopt in [0usize, 1, 2, 64] {
-                    for intraop in [0usize, 1, 2, 64] {
-                        let mut svc = FleetService::new(FleetOptions {
-                            workers,
-                            hyperopt_workers: hyperopt,
-                            intraop_workers: intraop,
-                            tuner: small_tuner_options(),
-                            ..Default::default()
-                        });
-                        svc.set_parallelism(p);
-                        let t = if workers == 0 { p } else { workers };
-                        let h = svc.effective_hyperopt_workers();
-                        let i = svc.effective_intraop_workers();
-                        assert!(h >= 1 && i >= 1, "grants must stay positive");
-                        // The budget holds except in the degenerate case where the
-                        // configured tenant workers alone already exceed the machine
-                        // (then both lower levels fold to 1).
-                        assert!(
-                            t * h * i <= p.max(t),
-                            "budget violated: {t} × {h} × {i} > {p}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Deletes every `"field":<digits>` occurrence (plus one adjacent comma) from a
-    /// JSON string — shapes a current snapshot like one written before the field
-    /// existed.
-    fn strip_numeric_field(json: &str, field: &str) -> String {
-        let needle = format!("\"{field}\":");
-        let mut out = String::with_capacity(json.len());
-        let mut rest = json;
-        while let Some(pos) = rest.find(&needle) {
-            let bytes = rest.as_bytes();
-            let mut head_end = pos;
-            let mut val_end = pos + needle.len();
-            while val_end < rest.len() && bytes[val_end].is_ascii_digit() {
-                val_end += 1;
-            }
-            if val_end < rest.len() && bytes[val_end] == b',' {
-                val_end += 1; // field was not last in its object: eat the trailing comma
-            } else if head_end > 0 && bytes[head_end - 1] == b',' {
-                head_end -= 1; // field was last: eat the leading comma instead
-            }
-            out.push_str(&rest[..head_end]);
-            rest = &rest[val_end..];
-        }
-        out.push_str(rest);
-        out
-    }
-
-    #[test]
-    fn pre_worker_grant_snapshots_restore_with_default_grants() {
-        // Regression for the PR-5 schema break: snapshots written before
-        // `hyperopt_workers` / `intraop_workers` existed must restore (the fields
-        // deserialize to 0 via #[serde(default)]) and come back with valid re-clamped
-        // grants on every session instead of failing the whole restore.
+    fn parent_era_snapshots_with_worker_keys_restore_and_continue_bit_identically() {
+        // Snapshots written while the fleet and cluster options still carried the
+        // `hyperopt_workers` / `intraop_workers` grants restore (unknown keys are
+        // skipped), drop the keys on the next snapshot, and continue exactly like the
+        // fleet that wrote them.
         let mut svc = small_service(2, 1);
         svc.run_rounds(1);
         let json = svc.snapshot_json().unwrap();
-        let stripped = strip_numeric_field(
-            &strip_numeric_field(&json, "hyperopt_workers"),
-            "intraop_workers",
+        let old_tree = crate::recovery::reference::with_worker_keys(
+            serde_json::to_value(&svc.snapshot()).unwrap(),
         );
-        assert!(
-            stripped.len() < json.len(),
-            "test must actually remove the fields"
+        let old_json = serde_json::to_string(&old_tree).unwrap();
+        // Fleet options, the fleet's tuner template and both tenants' tuners.
+        assert_eq!(old_json.matches("\"hyperopt_workers\":").count(), 4);
+        assert_eq!(old_json.matches("\"intraop_workers\":").count(), 4);
+        let mut restored = FleetService::restore_json(&old_json).unwrap();
+        assert_eq!(restored.snapshot_json().unwrap(), json);
+        svc.run_rounds(2);
+        restored.run_rounds(2);
+        assert_eq!(
+            restored.snapshot_json().unwrap(),
+            svc.snapshot_json().unwrap()
         );
-        let mut restored = FleetService::restore_json(&stripped).unwrap();
-        let h = restored.effective_hyperopt_workers();
-        let i = restored.effective_intraop_workers();
-        assert!(h >= 1 && i >= 1);
-        for t in &restored.tenants {
-            let state = t.export_state();
-            assert_eq!(state.tuner.options.cluster.hyperopt_workers, h);
-            assert_eq!(state.tuner.options.cluster.intraop_workers, i);
-        }
-        // The restored fleet keeps running.
-        assert!(restored.run_rounds(1).iterations > 0);
-    }
-
-    #[test]
-    fn hyperopt_worker_budget_is_clamped_against_tenant_parallelism() {
-        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-        // Fleet saturated with tenant workers: hyperopt must fold down to ≤ hw/workers.
-        for (workers, requested) in [(1usize, 64usize), (2, 64), (hw, 64), (1, 0), (hw, 0)] {
-            let svc = FleetService::new(FleetOptions {
-                workers,
-                hyperopt_workers: requested,
-                tuner: small_tuner_options(),
-                ..Default::default()
-            });
-            let granted = svc.effective_hyperopt_workers();
-            assert!(granted >= 1);
-            assert!(
-                workers * granted <= hw.max(workers),
-                "budget violated: {workers} tenant × {granted} hyperopt > {hw} CPUs"
-            );
-        }
-        // workers = 0 resolves to one per CPU, so the hyperopt grant must be 1.
-        let svc = FleetService::new(FleetOptions {
-            workers: 0,
-            hyperopt_workers: 64,
-            tuner: small_tuner_options(),
-            ..Default::default()
-        });
-        assert_eq!(svc.effective_hyperopt_workers(), 1);
-        // The grant lands in the admitted tenant's tuner options.
-        let mut svc = FleetService::new(FleetOptions {
-            workers: 1,
-            hyperopt_workers: 64,
-            tuner: small_tuner_options(),
-            ..Default::default()
-        });
-        let idx = svc
-            .admit(TenantSpec::named(
-                "t0".to_string(),
-                WorkloadFamily::ALL[0],
-                1,
-            ))
-            .unwrap();
-        let granted = svc.effective_hyperopt_workers();
-        let snapshot = svc.tenants[idx].export_state();
-        assert_eq!(snapshot.tuner.options.cluster.hyperopt_workers, granted);
-    }
-
-    #[test]
-    fn restore_re_clamps_a_foreign_hyperopt_grant() {
-        // A snapshot taken on a bigger machine may carry a larger per-tenant hyperopt
-        // grant than this machine's budget allows; restore must re-clamp it.
-        let mut svc = small_service(2, 1);
-        svc.run_rounds(1);
-        let mut snapshot = svc.snapshot();
-        for t in &mut snapshot.tenants {
-            t.tuner.options.cluster.hyperopt_workers = 999;
-        }
-        let restored = FleetService::restore(snapshot).unwrap();
-        let granted = restored.effective_hyperopt_workers();
-        assert!(granted >= 1);
-        for t in &restored.tenants {
-            assert_eq!(
-                t.export_state().tuner.options.cluster.hyperopt_workers,
-                granted,
-                "restored session kept a foreign worker grant"
-            );
-        }
     }
 
     #[test]

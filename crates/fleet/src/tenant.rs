@@ -850,23 +850,6 @@ impl TenantSession {
         self.db.set_data_size(gib);
     }
 
-    /// Re-grants the tuner's hyperopt worker budget (runtime-only; see
-    /// [`crate::service::FleetOptions::hyperopt_workers`]). The service calls this
-    /// after snapshot restore so a grant computed on the snapshotting machine cannot
-    /// oversubscribe the current one.
-    pub fn set_hyperopt_workers(&mut self, workers: usize) {
-        self.tuner.set_hyperopt_workers(workers);
-    }
-
-    /// Re-grants the tuner's intra-op worker budget (runtime-only; see
-    /// [`crate::service::FleetOptions::intraop_workers`]) — threads inside one model
-    /// refit's factorization and one suggest sweep. Like the hyperopt grant, results
-    /// are bit-identical at every value, so the service re-clamps it freely at
-    /// admission and after restore.
-    pub fn set_intraop_workers(&mut self, workers: usize) {
-        self.tuner.set_intraop_workers(workers);
-    }
-
     /// Runs one suggest→apply→observe iteration and returns the achieved regret.
     ///
     /// A faulted measurement (injected fault marker or non-finite score) feeds *nothing*

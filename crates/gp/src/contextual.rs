@@ -126,19 +126,6 @@ impl ContextualGp {
         self.gp.set_telemetry(telemetry);
     }
 
-    /// Sets the intra-op worker grant of the underlying GP (threads inside one refit's
-    /// Cholesky and one `predict_batch` sweep). Runtime-only, never serialized; results
-    /// are bit-identical at every grant, so snapshots taken under different grants
-    /// replay identically.
-    pub fn set_intraop_workers(&mut self, workers: usize) {
-        self.gp.set_intraop_workers(workers);
-    }
-
-    /// The intra-op worker grant of the underlying GP (1 = serial).
-    pub fn intraop_workers(&self) -> usize {
-        self.gp.intraop_workers()
-    }
-
     /// The installed telemetry sink (the no-op sink by default).
     pub fn telemetry(&self) -> &telemetry::TelemetryHandle {
         self.gp.telemetry()
@@ -652,7 +639,7 @@ mod tests {
 
     #[test]
     fn predict_batch_is_bit_identical_to_pointwise_and_reuses_scratch() {
-        let mut model = build_model();
+        let model = build_model();
         let candidates: Vec<Vec<f64>> = (0..9).map(|i| vec![i as f64 / 8.0]).collect();
         let context = [0.3];
         let mut scratch = Vec::new();
@@ -684,26 +671,17 @@ mod tests {
             assert_eq!(a.mean.to_bits(), b.mean.to_bits());
             assert_eq!(a.std_dev.to_bits(), b.std_dev.to_bits());
         }
-        // A sweep wider than two `PREDICT_CHUNK`s is split across intra-op workers; every
-        // grant must reproduce the serial sweep and pointwise `predict` bit for bit.
+        // A 130-candidate sweep (more than eight 16-lane multi-solve groups, with a
+        // ragged last group) reproduces pointwise `predict` bit for bit.
         let wide: Vec<Vec<f64>> = (0..130).map(|i| vec![i as f64 / 129.0]).collect();
-        assert!(wide.len() > 2 * crate::PREDICT_CHUNK);
-        model.set_intraop_workers(1);
-        let serial = model
+        let sweep = model
             .predict_batch_with_scratch(&wide, &context, &mut scratch)
             .unwrap();
-        for workers in [2, 4] {
-            model.set_intraop_workers(workers);
-            let split = model
-                .predict_batch_with_scratch(&wide, &context, &mut scratch)
-                .unwrap();
-            assert_eq!(split.len(), wide.len());
-            let bits = |p: &Posterior| (p.mean.to_bits(), p.std_dev.to_bits());
-            for ((c, a), b) in wide.iter().zip(split.iter()).zip(serial.iter()) {
-                let p = model.predict(c, &context).unwrap();
-                assert_eq!(bits(a), bits(b), "workers={workers}");
-                assert_eq!(bits(a), bits(&p), "workers={workers}");
-            }
+        assert_eq!(sweep.len(), wide.len());
+        for (c, a) in wide.iter().zip(sweep.iter()) {
+            let p = model.predict(c, &context).unwrap();
+            assert_eq!(a.mean.to_bits(), p.mean.to_bits());
+            assert_eq!(a.std_dev.to_bits(), p.std_dev.to_bits());
         }
     }
 

@@ -25,26 +25,6 @@ pub struct HyperOptOptions {
     pub tol: f64,
     /// Whether the observation-noise variance is optimized together with the kernel.
     pub optimize_noise: bool,
-    /// Worker threads for the restart searches: `1` runs them serially (the default),
-    /// `0` uses one per available CPU, any other value caps the pool at that many.
-    ///
-    /// **Determinism contract:** the selected hyper-parameters, the reported likelihood
-    /// and the evaluation count are *worker-count independent, bit for bit*. The restart
-    /// starting points are drawn from the RNG serially before any worker runs (so the
-    /// RNG stream is identical to the serial implementation), each restart's simplex
-    /// search is independent and deterministic, and the winner is reduced in restart
-    /// index order with a strict `<` — exactly the fold the serial loop performs.
-    /// Property-tested across `workers ∈ {1, 2, 4}`.
-    pub workers: usize,
-    /// Intra-op worker threads *inside* each likelihood trial's Cholesky factorization
-    /// (the trailing-panel worker pool of
-    /// [`Cholesky::decompose_with_jitter_scratch_workers`]). Multiplies with `workers`:
-    /// the optimizer may run up to `workers × intraop_workers` threads at once, so
-    /// callers under a parallelism budget should grant accordingly (the fleet's
-    /// three-level budget does). `0` is treated as `1`. Bit-identity contract: the
-    /// selected hyper-parameters are identical at every value — the parallel trailing
-    /// update reproduces the serial factorization exactly.
-    pub intraop_workers: usize,
 }
 
 impl Default for HyperOptOptions {
@@ -54,8 +34,6 @@ impl Default for HyperOptOptions {
             max_iters: 60,
             tol: 1e-4,
             optimize_noise: true,
-            workers: 1,
-            intraop_workers: 1,
         }
     }
 }
@@ -81,7 +59,6 @@ fn lml_from_stats(
     n: usize,
     y_std: &[f64],
     arena: &mut FitArena,
-    intraop_workers: usize,
 ) -> Option<f64> {
     arena.gram.reshape(n, n);
     // Only the lower triangle (+ diagonal) is filled: the Cholesky factorization never
@@ -97,13 +74,8 @@ fn lml_from_stats(
         }
     }
     arena.gram.add_diagonal(noise_variance).ok()?;
-    let chol = Cholesky::decompose_with_jitter_scratch_workers(
-        &arena.gram,
-        1e-3,
-        &mut arena.factor,
-        intraop_workers,
-    )
-    .ok()?;
+    let chol =
+        Cholesky::decompose_with_jitter_scratch(&arena.gram, 1e-3, &mut arena.factor).ok()?;
     let mut alpha = std::mem::take(&mut arena.alpha_spare);
     let solved = chol.solve_into(y_std, &mut alpha);
     let result = solved.ok().map(|()| {
@@ -297,99 +269,65 @@ pub fn optimize_hyperparameters<R: Rng>(
         None
     };
 
-    // Restart starting points are drawn serially *before* any search runs: the RNG
-    // stream is identical whether the searches below execute on one thread or many.
-    let mut starts = vec![initial.clone()];
-    for _ in 0..options.restarts {
-        let jittered: Vec<f64> = initial
-            .iter()
-            .map(|p| p + rng.gen_range(-1.5..1.5))
-            .collect();
-        starts.push(jittered);
-    }
-
-    // One restart = one independent, deterministic Nelder–Mead search. Each search gets
-    // its own fit arena (so its trial loop is allocation-free) and its own trial kernel
-    // (set_params fully overwrites the hyper-parameters, so reuse across evaluations is
-    // exact). The closure only reads shared state — safe to call from worker threads.
-    let gp_ref: &GaussianProcess = gp;
-    let cache_ref = cache.as_ref();
-    let run_start = |start: &[f64]| -> (Vec<f64>, f64, usize) {
-        let mut arena = FitArena::default();
-        let mut trial_kernel = gp_ref.kernel().clone_box();
-        let mut trial_gp: Option<GaussianProcess> = None;
-        let mut objective = |params: &[f64]| -> f64 {
-            let (kernel_part, noise_part) = if options.optimize_noise {
-                params.split_at(n_kernel)
-            } else {
-                (params, &[][..])
-            };
-            if let Some((stats, y_std)) = cache_ref {
-                trial_kernel.set_params(kernel_part);
-                let noise = noise_part
-                    .first()
-                    .map(|log_noise| log_noise.exp().clamp(1e-8, 1.0))
-                    .unwrap_or_else(|| gp_ref.noise_variance());
-                return match lml_from_stats(
-                    trial_kernel.as_ref(),
-                    noise,
-                    stats,
-                    n_stats,
-                    n,
-                    y_std,
-                    &mut arena,
-                    options.intraop_workers.max(1),
-                ) {
-                    Some(lml) => -lml,
-                    None => f64::MAX / 4.0,
-                };
-            }
-            let trial = trial_gp.get_or_insert_with(|| {
-                GaussianProcess::new(gp_ref.kernel().clone_box(), gp_ref.noise_variance())
-            });
-            trial.kernel_mut().set_params(kernel_part);
-            if let Some(&log_noise) = noise_part.first() {
-                trial.set_noise_variance(log_noise.exp().clamp(1e-8, 1.0));
-            }
-            match trial.log_marginal_likelihood(x, y) {
-                Ok(lml) => -lml,
-                Err(_) => f64::MAX / 4.0,
-            }
+    // One restart = one deterministic Nelder–Mead search; the first starts from the
+    // current hyper-parameters, the others from jittered copies. All searches share one
+    // fit arena (so the trial loop is allocation-free) and one trial kernel
+    // (`set_params` fully overwrites the hyper-parameters, so reuse is exact).
+    let mut arena = FitArena::default();
+    let mut trial_kernel = gp.kernel().clone_box();
+    let mut trial_gp: Option<GaussianProcess> = None;
+    let mut objective = |params: &[f64]| -> f64 {
+        let (kernel_part, noise_part) = if options.optimize_noise {
+            params.split_at(n_kernel)
+        } else {
+            (params, &[][..])
         };
-        nelder_mead(&mut objective, start, 0.5, options.max_iters, options.tol)
+        if let Some((stats, y_std)) = &cache {
+            trial_kernel.set_params(kernel_part);
+            let noise = noise_part
+                .first()
+                .map(|log_noise| log_noise.exp().clamp(1e-8, 1.0))
+                .unwrap_or(initial_noise);
+            return match lml_from_stats(
+                trial_kernel.as_ref(),
+                noise,
+                stats,
+                n_stats,
+                n,
+                y_std,
+                &mut arena,
+            ) {
+                Some(lml) => -lml,
+                None => f64::MAX / 4.0,
+            };
+        }
+        let trial = trial_gp
+            .get_or_insert_with(|| GaussianProcess::new(gp.kernel().clone_box(), initial_noise));
+        trial.kernel_mut().set_params(kernel_part);
+        if let Some(&log_noise) = noise_part.first() {
+            trial.set_noise_variance(log_noise.exp().clamp(1e-8, 1.0));
+        }
+        match trial.log_marginal_likelihood(x, y) {
+            Ok(lml) => -lml,
+            Err(_) => f64::MAX / 4.0,
+        }
     };
 
-    let workers = match options.workers {
-        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
-        w => w,
-    }
-    .clamp(1, starts.len());
-    let mut results: Vec<Option<(Vec<f64>, f64, usize)>> = starts.iter().map(|_| None).collect();
-    if workers <= 1 {
-        for (slot, start) in results.iter_mut().zip(starts.iter()) {
-            *slot = Some(run_start(start));
-        }
-    } else {
-        // Contiguous chunks, one per worker; result slots keep the restart order.
-        let chunk = starts.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (slot_chunk, start_chunk) in results.chunks_mut(chunk).zip(starts.chunks(chunk)) {
-                let run_start = &run_start;
-                scope.spawn(move || {
-                    for (slot, start) in slot_chunk.iter_mut().zip(start_chunk.iter()) {
-                        *slot = Some(run_start(start));
-                    }
-                });
-            }
-        });
-    }
-
-    // Index-ordered argmin with a strict `<` — exactly the fold the serial loop
-    // performed, so the winner (and every tie-break) is worker-count independent.
+    // Argmin in restart order with a strict `<`: the first of tied optima wins.
     let mut best_params = initial.clone();
     let mut best_neg = -baseline_lml;
     let mut total_evals = 0;
-    for (xopt, fopt, evals) in results.into_iter().flatten() {
+    for restart in 0..=options.restarts {
+        let start: Vec<f64> = if restart == 0 {
+            initial.clone()
+        } else {
+            initial
+                .iter()
+                .map(|p| p + rng.gen_range(-1.5..1.5))
+                .collect()
+        };
+        let (xopt, fopt, evals) =
+            nelder_mead(&mut objective, &start, 0.5, options.max_iters, options.tol);
         total_evals += evals;
         if fopt < best_neg {
             best_neg = fopt;
@@ -585,100 +523,6 @@ mod tests {
             );
             assert_eq!(report_cached.evaluations, report_plain.evaluations);
             assert_eq!(report_cached.improved, report_plain.improved);
-        }
-    }
-
-    /// Runs one optimization with the given restart-worker and intra-op grants on a
-    /// fixed problem and returns everything the determinism contract covers.
-    fn run_with_workers(
-        workers: usize,
-        intraop: usize,
-        restarts: usize,
-        seed: u64,
-        data: &[(Vec<f64>, f64)],
-    ) -> (Vec<f64>, f64, HyperOptReport) {
-        let xs: Vec<Vec<f64>> = data.iter().map(|(x, _)| x.clone()).collect();
-        let ys: Vec<f64> = data.iter().map(|(_, y)| *y).collect();
-        let mut gp = GaussianProcess::new(
-            Box::new(ScaledKernel::new(Box::new(Matern52Kernel::new(0.3)), 1.0)),
-            1e-3,
-        );
-        gp.set_intraop_workers(intraop);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let report = optimize_hyperparameters(
-            &mut gp,
-            &xs,
-            &ys,
-            &HyperOptOptions {
-                restarts,
-                max_iters: 40,
-                workers,
-                intraop_workers: intraop,
-                ..Default::default()
-            },
-            &mut rng,
-        );
-        (gp.kernel().params(), gp.noise_variance(), report)
-    }
-
-    #[test]
-    fn parallel_restarts_select_bit_identical_hyperparameters() {
-        let data: Vec<(Vec<f64>, f64)> = (0..24)
-            .map(|i| {
-                let t = i as f64 / 23.0;
-                (vec![t, (4.0 * t).cos()], (3.0 * t).sin() * 5.0 + t)
-            })
-            .collect();
-        let (params_serial, noise_serial, report_serial) = run_with_workers(1, 1, 5, 13, &data);
-        for (workers, intraop) in [(2usize, 1usize), (4, 2), (0, 4), (1, 4), (2, 0)] {
-            let (params, noise, report) = run_with_workers(workers, intraop, 5, 13, &data);
-            assert_eq!(params.len(), params_serial.len());
-            for (a, b) in params.iter().zip(params_serial.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "workers={workers}");
-            }
-            assert_eq!(noise.to_bits(), noise_serial.to_bits(), "workers={workers}");
-            assert_eq!(
-                report.best_lml.to_bits(),
-                report_serial.best_lml.to_bits(),
-                "workers={workers}"
-            );
-            assert_eq!(report.evaluations, report_serial.evaluations);
-            assert_eq!(report.improved, report_serial.improved);
-        }
-    }
-
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(8))]
-            /// The determinism contract of `HyperOptOptions::{workers, intraop_workers}`:
-            /// on random data, restart counts and seeds, the selected hyper-parameters,
-            /// noise, reported likelihood and evaluation count are bit-identical across
-            /// the restart-worker × intra-op grid {1,2,4} × {1,2,4}.
-            #[test]
-            fn prop_hyperopt_bit_identical_across_worker_counts(
-                raw in proptest::collection::vec(
-                    (proptest::collection::vec(-1.0f64..1.0, 2), -5.0f64..5.0), 6..20),
-                restarts in 1usize..5,
-                seed in 0u64..500,
-            ) {
-                let serial = run_with_workers(1, 1, restarts, seed, &raw);
-                for (workers, intraop) in [(2usize, 1usize), (4, 1), (1, 2), (2, 2), (4, 4), (1, 4)] {
-                    let parallel = run_with_workers(workers, intraop, restarts, seed, &raw);
-                    prop_assert_eq!(parallel.0.len(), serial.0.len());
-                    for (a, b) in parallel.0.iter().zip(serial.0.iter()) {
-                        prop_assert_eq!(a.to_bits(), b.to_bits());
-                    }
-                    prop_assert_eq!(parallel.1.to_bits(), serial.1.to_bits());
-                    prop_assert_eq!(
-                        parallel.2.best_lml.to_bits(),
-                        serial.2.best_lml.to_bits()
-                    );
-                    prop_assert_eq!(parallel.2.evaluations, serial.2.evaluations);
-                }
-            }
         }
     }
 

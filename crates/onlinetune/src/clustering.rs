@@ -33,28 +33,6 @@ pub struct ClusterOptions {
     pub max_observations_per_model: usize,
     /// Refit kernel hyper-parameters every this many model updates.
     pub hyperopt_period: usize,
-    /// Worker threads used for the periodic hyper-parameter optimization's restart
-    /// searches (`1` = serial, `0` = one per CPU; see
-    /// [`gp::hyperopt::HyperOptOptions::workers`]). Selected hyper-parameters are
-    /// worker-count independent bit for bit, so this only affects wall-clock time —
-    /// snapshot replay across machines with different settings stays exact. The fleet
-    /// service clamps this so tenant-level and hyperopt-level parallelism compose
-    /// without oversubscription.
-    ///
-    /// Deserializes to 0 from snapshots written before the field existed
-    /// (`#[serde(default)]`); a 0 is normalized to 1 (serial) where the grant is
-    /// consumed, so old snapshots restore instead of erroring.
-    #[serde(default)]
-    pub hyperopt_workers: usize,
-    /// Intra-op worker threads granted to each cluster model: threads *inside* one
-    /// refit's Cholesky factorization and one suggest sweep's `predict_batch` (see
-    /// [`gp::regression::GaussianProcess::set_intraop_workers`]). Multiplies with
-    /// [`ClusterOptions::hyperopt_workers`] during periodic hyper-parameter refits; the
-    /// fleet service grants it from the third level of its parallelism budget. All
-    /// results are bit-identical at every value. Deserializes to 0 from older
-    /// snapshots; normalized to 1 where consumed.
-    #[serde(default)]
-    pub intraop_workers: usize,
 }
 
 impl Default for ClusterOptions {
@@ -69,8 +47,6 @@ impl Default for ClusterOptions {
             min_observations_for_clustering: 30,
             max_observations_per_model: 150,
             hyperopt_period: 20,
-            hyperopt_workers: 1,
-            intraop_workers: 1,
         }
     }
 }
@@ -104,9 +80,6 @@ fn budgeted_model(config_dim: usize, context_dim: usize, options: &ClusterOption
     model.set_budget(Some(ObservationBudget::new(
         options.max_observations_per_model,
     )));
-    // A grant of 0 (deserialized from a pre-grant snapshot) means serial, not "per CPU":
-    // resolving against the machine belongs to the fleet budget, not here.
-    model.set_intraop_workers(options.intraop_workers.max(1));
     model
 }
 
@@ -158,24 +131,6 @@ impl ClusterManager {
     /// How many times the clustering has been re-learned.
     pub fn recluster_count(&self) -> usize {
         self.recluster_count
-    }
-
-    /// Re-grants the hyperopt worker budget (see [`ClusterOptions::hyperopt_workers`]).
-    /// Runtime-only: selected hyper-parameters are worker-count independent, so this
-    /// never changes model behaviour — the fleet service calls it when a session is
-    /// restored on a machine whose parallelism budget differs from the snapshotting one.
-    pub fn set_hyperopt_workers(&mut self, workers: usize) {
-        self.options.hyperopt_workers = workers;
-    }
-
-    /// Re-grants the intra-op worker budget on the options and every existing model
-    /// (see [`ClusterOptions::intraop_workers`]). Runtime-only: every computed value is
-    /// bit-identical at every grant, so this never changes model behaviour.
-    pub fn set_intraop_workers(&mut self, workers: usize) {
-        self.options.intraop_workers = workers;
-        for model in &mut self.models {
-            model.set_intraop_workers(workers.max(1));
-        }
     }
 
     /// Suppresses (or re-enables) the periodic hyper-parameter refit — the degraded
@@ -242,11 +197,6 @@ impl ClusterManager {
                 &HyperOptOptions {
                     restarts: 1,
                     max_iters: 30,
-                    // 0 deserialized from a pre-grant snapshot means serial here; the
-                    // hyperopt's own "0 = per CPU" convention is reserved for callers
-                    // that explicitly opt in, not for missing snapshot fields.
-                    workers: self.options.hyperopt_workers.max(1),
-                    intraop_workers: self.options.intraop_workers.max(1),
                     ..Default::default()
                 },
                 rng,

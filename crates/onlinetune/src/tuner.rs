@@ -237,28 +237,6 @@ impl OnlineTune {
         &self.hardware
     }
 
-    /// Re-grants the worker budget of the periodic hyper-parameter optimization (see
-    /// [`ClusterOptions::hyperopt_workers`](crate::clustering::ClusterOptions::hyperopt_workers)).
-    /// Runtime-only — hyperopt results are worker-count independent bit for bit, so
-    /// this affects wall-clock time, never recommendations or replay. The fleet
-    /// service calls it at admission and after snapshot restore to keep the combined
-    /// parallelism budget valid on the *current* machine.
-    pub fn set_hyperopt_workers(&mut self, workers: usize) {
-        self.options.cluster.hyperopt_workers = workers;
-        self.clusters.set_hyperopt_workers(workers);
-    }
-
-    /// Re-grants the intra-op worker budget of every cluster model (see
-    /// [`ClusterOptions::intraop_workers`](crate::clustering::ClusterOptions::intraop_workers)):
-    /// threads inside one refit's Cholesky factorization and one suggest sweep's
-    /// batched prediction. Runtime-only and bit-identical at every grant, exactly like
-    /// [`OnlineTune::set_hyperopt_workers`]; the fleet service calls both at admission
-    /// and after snapshot restore.
-    pub fn set_intraop_workers(&mut self, workers: usize) {
-        self.options.cluster.intraop_workers = workers;
-        self.clusters.set_intraop_workers(workers);
-    }
-
     /// Suppresses (or re-enables) the periodic hyper-parameter refit of every cluster
     /// model — the serving layer's degraded tiers shed the O(n³) step of the observe
     /// path this way (see
