@@ -770,7 +770,10 @@ mod tests {
             assert_eq!(p.mean.to_bits(), b.mean.to_bits());
             assert_eq!(p.std_dev.to_bits(), b.std_dev.to_bits());
         }
+    }
 
+    #[test]
+    fn predict_batch_is_bit_identical_to_pointwise_across_sweep_sizes() {
         // Sweep sizes C = 1, 63/64/65 (64 is a whole number of 16-lane multi-solve groups, its
         // neighbours are not) and 199 (a long sweep with a ragged last group). Every
         // posterior must equal the scalar path bit for bit, and the LCB argmin (the
